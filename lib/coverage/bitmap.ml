@@ -55,9 +55,19 @@ let hit t index =
 
 (* Knuth multiplicative mixing keeps distinct (site, key) pairs well
    spread over the map, like AFL's random edge ids. *)
-let probe t ~site ~key =
+let slot ~site ~key =
   let h = (site * 0x9E3779B1) lxor ((key + 1) * 0x85EBCA6B) in
-  hit t (h lxor (h lsr 15))
+  h lxor (h lsr 15)
+
+let probe t ~site ~key = hit t (slot ~site ~key)
+
+let probe_n t ~site ~key n =
+  if n > 0 then begin
+    let i = slot ~site ~key land mask in
+    let v = Char.code (Bytes.unsafe_get t.buf i) in
+    if v = 0 then mark t i;
+    Bytes.unsafe_set t.buf i (Char.unsafe_chr (min 255 (v + n)))
+  end
 
 (* [probe]'s xor-of-products folds the site id in linearly, so distinct
    (site, key) pairs can alias to one slot with nothing downstream able

@@ -30,6 +30,11 @@ val hit : t -> int -> unit
 val probe : t -> site:int -> key:int -> unit
 (** Record that probe [site] fired in state [key]. *)
 
+val probe_n : t -> site:int -> key:int -> int -> unit
+(** [probe_n t ~site ~key n] leaves the map exactly as [n] calls to
+    {!probe} would: the cell saturates at 255 and is marked dirty on the
+    same first touch. [n <= 0] does nothing. *)
+
 val mix : site:int -> key:int -> int
 (** Avalanching slot index for [(site, key)]. Unlike {!probe}'s
     historical xor-of-products — which folds the site id in linearly and

@@ -172,22 +172,31 @@ let take_snapshot t =
         (fun name sq acc -> (name, sq.sq_value) :: acc)
         t.sequences [] }
 
-let rebuild_indexes t =
+(* Re-derive every index on [table] (on every table when omitted) from
+   its table's current rows. The rebuild is deferred to the index's next
+   use: the table copy it reads is O(1) and frozen, so a statement that
+   changes a large indexed table costs nothing here, and a reader still
+   sees exactly what an eager rebuild would have built. *)
+let sync_indexes ?table t =
   Hashtbl.iter
     (fun _ spec ->
-       Storage.Index.clear spec.x_data;
-       match Hashtbl.find_opt t.tables spec.x_table with
-       | None -> ()
-       | Some table ->
-         let positions =
-           List.filter_map (Storage.Table.col_index table) spec.x_cols
-         in
-         if List.length positions = List.length spec.x_cols then
-           Storage.Table.iter
-             (fun rowid row ->
-                let key = List.map (fun p -> row.(p)) positions in
-                ignore (Storage.Index.add spec.x_data key rowid))
-             table)
+       if Option.fold ~none:true ~some:(String.equal spec.x_table) table
+       then
+         Storage.Index.defer spec.x_data
+           (match Hashtbl.find_opt t.tables spec.x_table with
+            | None -> ignore
+            | Some tbl ->
+              let positions =
+                List.filter_map (Storage.Table.col_index tbl) spec.x_cols
+              in
+              if List.length positions <> List.length spec.x_cols then ignore
+              else
+                let rows = Storage.Table.copy tbl in
+                fun add ->
+                  Storage.Table.iter
+                    (fun rowid row ->
+                       add (List.map (fun p -> row.(p)) positions) rowid)
+                    rows))
     t.indexes
 
 let restore_snapshot t snapshot =
@@ -206,7 +215,7 @@ let restore_snapshot t snapshot =
        | Some sq -> sq.sq_value <- v
        | None -> ())
     snapshot.sn_sequences;
-  rebuild_indexes t
+  sync_indexes t
 
 let copy_snapshot sn =
   { sn_tables =

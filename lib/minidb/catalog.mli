@@ -116,7 +116,10 @@ val restore_snapshot : t -> snapshot -> unit
 (** Restore data to the snapshot; schema objects created since the
     snapshot that hold data are cleared, and index data is rebuilt. *)
 
-val rebuild_indexes : t -> unit
+val sync_indexes : ?table:string -> t -> unit
+(** Re-derive every index on [table] (every index when omitted) from its
+    table's current rows, deferred to each index's next use
+    ({!Storage.Index.defer}). O(#indexes). *)
 
 val deep_copy : t -> t
 (** Independent copy of the whole catalog — every table, index, view

@@ -684,8 +684,9 @@ and run_select ctx (s : select) : Value.t array list =
       probe ctx s_window (bucket (List.length rows));
       set_flag ctx "window_executed";
       let arr = Array.of_list rows in
+      let memos = ref [] in
       Array.to_list
-        (Array.mapi (fun i row -> (window_env ctx arr i row, row)) arr)
+        (Array.mapi (fun i row -> (window_env ctx memos arr i row, row)) arr)
     end
     else List.map (fun row -> (row_env ctx row, row)) rows
   in
@@ -919,14 +920,26 @@ and compute_agg ctx fn distinct arg members =
       Value.Text
         (String.concat "," (List.map Value.to_display non_null))
 
-and window_env ctx all_rows cur_idx row : Expr_eval.env =
+and window_env ctx memos all_rows cur_idx row : Expr_eval.env =
   let base = row_env ctx row in
   { base with
     win =
       (fun fn args over ->
-         compute_window ctx all_rows cur_idx fn args over) }
+         let w =
+           match List.assq_opt over !memos with
+           | Some w -> w
+           | None ->
+             let w =
+               Window.create ~cov:ctx.cov
+                 ~env:(fun i -> row_env ctx all_rows.(i))
+                 ~rows:(Array.length all_rows) over
+             in
+             memos := (over, w) :: !memos;
+             w
+         in
+         compute_window ctx w cur_idx fn args over) }
 
-and compute_window ctx all_rows cur_idx fn args over =
+and compute_window ctx w cur_idx fn args over =
   let fn_tag =
     match fn with
     | Row_number -> 0 | Rank -> 1 | Dense_rank -> 2 | Lead -> 3 | Lag -> 4
@@ -940,90 +953,9 @@ and compute_window ctx all_rows cur_idx fn args over =
         | None -> 0
         | Some { f_kind = F_rows; _ } -> 1
         | Some { f_kind = F_range; _ } -> 2));
-  let eval_at i e = Expr_eval.eval (row_env ctx all_rows.(i)) e in
-  let n = Array.length all_rows in
-  let part_key i = List.map (eval_at i) over.partition_by in
-  let keys_equal a b =
-    List.length a = List.length b
-    && List.for_all2 (fun x y -> Value.compare_total x y = 0) a b
-  in
-  let mine = part_key cur_idx in
-  let part =
-    List.filter
-      (fun i -> keys_equal (part_key i) mine)
-      (List.init n (fun i -> i))
-  in
-  let order_key i = List.map (fun (e, _) -> eval_at i e) over.w_order_by in
-  let dirs = List.map snd over.w_order_by in
-  let cmp_order a b =
-    let rec loop ka kb ds =
-      match (ka, kb, ds) with
-      | [], [], _ -> 0
-      | x :: xs, y :: ys, d :: dt ->
-        let c = Value.compare_total x y in
-        let c = match d with Asc -> c | Desc -> -c in
-        if c <> 0 then c else loop xs ys dt
-      | _ -> 0
-    in
-    loop (order_key a) (order_key b) dirs
-  in
-  let sorted = List.stable_sort cmp_order part in
-  let pos =
-    let rec find i = function
-      | [] -> 0
-      | x :: _ when x = cur_idx -> i
-      | _ :: t -> find (i + 1) t
-    in
-    find 0 sorted
-  in
+  let place = Window.place w cur_idx fn in
   if over.frame <> None then set_flag ctx "window_frame";
-  match fn with
-  | Row_number -> Value.Int (pos + 1)
-  | Rank ->
-    let before =
-      List.filteri (fun i x -> i < pos && cmp_order x cur_idx < 0) sorted
-    in
-    Value.Int (List.length before + 1)
-  | Dense_rank ->
-    let distinct_before =
-      List.sort_uniq compare
-        (List.filteri (fun i _ -> i < pos) sorted
-         |> List.filter_map (fun x ->
-             if cmp_order x cur_idx < 0 then
-               Some (List.map Value.to_display (order_key x))
-             else None))
-    in
-    Value.Int (List.length distinct_before + 1)
-  | Lead | Lag ->
-    let offset =
-      match args with
-      | _ :: o :: _ -> (
-          match eval_scalar ctx o with
-          | Value.Int n -> n
-          | _ -> 1)
-      | _ -> 1
-    in
-    let target = if fn = Lead then pos + offset else pos - offset in
-    if target < 0 || target >= List.length sorted then
-      (match args with
-       | _ :: _ :: d :: _ -> eval_scalar ctx d
-       | _ -> Value.Null)
-    else
-      let idx = List.nth sorted target in
-      (match args with
-       | e :: _ -> eval_at idx e
-       | [] -> Value.Null)
-  | Ntile ->
-    let buckets =
-      match args with
-      | b :: _ -> (
-          match eval_scalar ctx b with
-          | Value.Int n when n > 0 -> n
-          | _ -> 1)
-      | [] -> 1
-    in
-    let total = List.length sorted in
-    Value.Int ((pos * buckets / max 1 total) + 1)
+  Window.value w place ~scalar:(scalar_env ctx) fn args
 
 and project ctx (env : Expr_eval.env) (row : env_row) projs : Value.t array =
   let out = ref [] in
@@ -1047,26 +979,6 @@ and project ctx (env : Expr_eval.env) (row : env_row) projs : Value.t array =
 (* ------------------------------------------------------------------ *)
 (* Statement execution                                                 *)
 (* ------------------------------------------------------------------ *)
-
-let rebuild_table_indexes ctx table_name =
-  Hashtbl.iter
-    (fun _ (spec : Catalog.index_spec) ->
-       if String.equal spec.x_table table_name then begin
-         Index.clear spec.x_data;
-         match Hashtbl.find_opt ctx.cat.Catalog.tables table_name with
-         | None -> ()
-         | Some table ->
-           let positions =
-             List.filter_map (Table.col_index table) spec.x_cols
-           in
-           if List.length positions = List.length spec.x_cols then
-             Table.iter
-               (fun rowid row ->
-                  let key = List.map (fun p -> row.(p)) positions in
-                  ignore (Index.add spec.x_data key rowid))
-               table
-       end)
-    ctx.cat.Catalog.indexes
 
 let priv_covers granted needed =
   List.exists (fun p -> p = P_all || p = needed) granted
@@ -1341,7 +1253,7 @@ let rec exec ctx stmt : result =
     let table = Catalog.find_table ctx.cat name in
     check_lock ctx name `Write;
     let n = Table.truncate table in
-    rebuild_table_indexes ctx name;
+    Catalog.sync_indexes ~table:name ctx.cat;
     probe ctx s_ddl (21 + min 2 (bucket n));
     if ctx.cat.Catalog.in_txn then set_flag ctx "truncate_in_txn";
     Done (Printf.sprintf "truncated %d rows" n)
@@ -1624,8 +1536,8 @@ let rec exec ctx stmt : result =
     (match target with
      | Some t ->
        ignore (Catalog.find_table ctx.cat t);
-       rebuild_table_indexes ctx t
-     | None -> Catalog.rebuild_indexes ctx.cat);
+       Catalog.sync_indexes ~table:t ctx.cat
+     | None -> Catalog.sync_indexes ctx.cat);
     probe ctx s_util (52 lor if target = None then 1 else 0);
     Done "reindexed"
   | S_checkpoint ->
@@ -1821,7 +1733,7 @@ let rec exec ctx stmt : result =
         in
         ignore (Table.truncate table);
         List.iter (fun r -> ignore (Table.insert table r)) sorted;
-        rebuild_table_indexes ctx name;
+        Catalog.sync_indexes ~table:name ctx.cat;
         probe ctx s_util 101;
         set_flag ctx "clustered"
     in
@@ -2072,7 +1984,7 @@ and exec_alter_table ctx table_name action =
          Table.change_column_type table pos dt;
          probe ctx s_ddl 55;
          set_flag ctx "column_retyped"));
-  rebuild_table_indexes ctx table_name;
+  Catalog.sync_indexes ~table:table_name ctx.cat;
   Done "table altered"
 
 and fire_triggers ctx table_name event ~timing =
@@ -2260,7 +2172,7 @@ and exec_plain_insert ctx ~replace ~in_with (i : insert) =
            end
        end)
     src_rows;
-  rebuild_table_indexes ctx i.i_table;
+  Catalog.sync_indexes ~table:i.i_table ctx.cat;
   (* non-INSTEAD rules run after the original statement *)
   List.iter
     (fun (r : Catalog.rule) ->
@@ -2375,7 +2287,7 @@ and exec_update ctx ~in_with (u : update) =
          if in_with then set_flag ctx "dml_in_with_executed";
          fire_triggers ctx u.u_table Ev_update ~timing:After)
       matching;
-    rebuild_table_indexes ctx u.u_table;
+    Catalog.sync_indexes ~table:u.u_table ctx.cat;
     Affected !updated
   | decision -> apply_rule ctx ~in_with decision
 
@@ -2417,7 +2329,7 @@ and exec_delete ctx ~in_with (d : delete) =
       if in_with then set_flag ctx "dml_in_with_executed";
       fire_triggers ctx d.d_table Ev_delete ~timing:After
     end;
-    rebuild_table_indexes ctx d.d_table;
+    Catalog.sync_indexes ~table:d.d_table ctx.cat;
     Affected n
   | decision -> apply_rule ctx ~in_with decision
 

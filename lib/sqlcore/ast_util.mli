@@ -14,6 +14,9 @@ val map_exprs : (Ast.expr -> Ast.expr) -> Ast.stmt -> Ast.stmt
 (** Rewrite every expression bottom-up. The function receives each node
     after its children were rewritten. *)
 
+val map_expr : (Ast.expr -> Ast.expr) -> Ast.expr -> Ast.expr
+(** [map_exprs] for one expression, nested queries included. *)
+
 val map_table_refs : (string -> string) -> Ast.stmt -> Ast.stmt
 (** Rename every table reference (reads and writes, including qualified
     column references and DDL targets). *)

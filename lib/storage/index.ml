@@ -16,15 +16,23 @@ end
 
 module M = Map.Make (Key)
 
-type t = { uniq : bool; mutable map : int list M.t }
+(* [pending] is a deferred rebuild: [fill add] calls [add key rowid]
+   for every entry the rebuilt index holds, in insertion order. It
+   reads a frozen row map, so it yields the same entries whenever it
+   runs, and every reader forces it first. *)
+type t = {
+  uniq : bool;
+  mutable map : int list M.t;
+  mutable pending : ((Value.t list -> int -> unit) -> unit) option;
+}
 
-let create ~unique = { uniq = unique; map = M.empty }
+let create ~unique = { uniq = unique; map = M.empty; pending = None }
 
 let unique t = t.uniq
 
 let has_null key = List.exists (fun v -> v = Value.Null) key
 
-let add t key rowid =
+let add_now t key rowid =
   match M.find_opt key t.map with
   | Some (existing :: _) when t.uniq && not (has_null key) ->
     `Dup existing
@@ -35,7 +43,22 @@ let add t key rowid =
     t.map <- M.add key [ rowid ] t.map;
     `Ok
 
+let force t =
+  match t.pending with
+  | None -> ()
+  | Some fill ->
+    t.pending <- None;
+    t.map <- M.empty;
+    fill (fun key rowid -> ignore (add_now t key rowid))
+
+let defer t fill = t.pending <- Some fill
+
+let add t key rowid =
+  force t;
+  add_now t key rowid
+
 let remove t key rowid =
+  force t;
   match M.find_opt key t.map with
   | None -> ()
   | Some ids -> (
@@ -43,9 +66,12 @@ let remove t key rowid =
       | [] -> t.map <- M.remove key t.map
       | ids -> t.map <- M.add key ids t.map)
 
-let find t key = match M.find_opt key t.map with None -> [] | Some ids -> ids
+let find t key =
+  force t;
+  match M.find_opt key t.map with None -> [] | Some ids -> ids
 
 let find_range t ~lo ~hi =
+  force t;
   let in_lo key =
     match lo with None -> true | Some lo -> Key.compare key lo >= 0
   in
@@ -56,11 +82,12 @@ let find_range t ~lo ~hi =
     (fun key ids acc -> if in_lo key && in_hi key then ids @ acc else acc)
     t.map []
 
-let length t = M.cardinal t.map
-
-let clear t = t.map <- M.empty
+let length t =
+  force t;
+  M.cardinal t.map
 
 (* The map is persistent, so an independent copy is just a new record
    holding the same root — later [add]/[remove] on either side rebind
-   their own [map] field without disturbing the other. *)
-let copy t = { uniq = t.uniq; map = t.map }
+   their own [map] field without disturbing the other. A pending
+   rebuild is shared too: each side runs it on its own first use. *)
+let copy t = { uniq = t.uniq; map = t.map; pending = t.pending }

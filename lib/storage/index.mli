@@ -25,8 +25,16 @@ val find_range :
 val length : t -> int
 (** Number of distinct keys. *)
 
-val clear : t -> unit
+val defer : t -> ((Value.t list -> int -> unit) -> unit) -> unit
+(** [defer t fill] replaces the contents of [t] by a rebuild that runs
+    on the next {!add}, {!remove}, {!find}, {!find_range} or {!length}:
+    the index is cleared, then [fill add] must call [add key rowid] for
+    every entry, as {!add} would receive them (a unique-key duplicate is
+    dropped). [fill] must read frozen data, since it runs later, once
+    per copy. Readers see exactly what an eager rebuild would have
+    built. O(1). *)
 
 val copy : t -> t
 (** Independent copy: mutations of either side never affect the other.
-    O(1) — the underlying map is persistent. *)
+    O(1) — the underlying map is persistent, and a pending {!defer}
+    rebuild is shared rather than run. *)

@@ -156,6 +156,76 @@ let test_fault_window_spans_statements () =
   Alcotest.(check bool) "contiguous pattern fires" true
     (stats2.E.rs_crash <> None)
 
+(* The two shapes behind the late-campaign stall. Each is timed against
+   a bound at least 20x its cost now and below its cost under per-row
+   window evaluation and eager index rebuilds (2.2 s and 0.18 s on a
+   2-vCPU container, against 6 ms and 3 ms now). *)
+
+let exec_timed eng sql =
+  let stmts = parse sql in
+  let t0 = Sys.time () in
+  let out = List.map (E.exec_stmt eng) stmts in
+  (out, Sys.time () -. t0)
+
+let int_rows = function
+  | [ E.Ok_result (Minidb.Executor.Rows (_, rows)) ] ->
+    List.map
+      (Array.map (function
+           | Storage.Value.Int n -> n
+           | v -> Alcotest.fail ("not an int: " ^ Storage.Value.to_display v)))
+      rows
+  | [ E.Sql_failed e ] -> Alcotest.fail (Minidb.Errors.message e)
+  | _ -> Alcotest.fail "expected one row set"
+
+(* 8 rows doubled [n] times, c1 cycling 0..7 and c2 cycling 0..1. *)
+let doubled_table name n =
+  Printf.sprintf
+    "CREATE TABLE %s (c1 INT, c2 INT);\n\
+     INSERT INTO %s VALUES (0, 0), (1, 1), (2, 0), (3, 1), (4, 0), (5, 1), \
+     (6, 0), (7, 1);\n%s"
+    name name
+    (String.concat "\n"
+       (List.init n (fun _ ->
+            Printf.sprintf "INSERT INTO %s SELECT * FROM %s;" name name)))
+
+let test_stall_window_partition () =
+  let eng = engine () in
+  ignore (E.run_testcase eng (parse (doubled_table "t9" 8)));
+  let out, secs =
+    exec_timed eng
+      "SELECT c2, ROW_NUMBER() OVER (PARTITION BY c2 ORDER BY c2) FROM t9;"
+  in
+  Alcotest.(check (list (array int))) "rows"
+    (List.init 2048 (fun i -> [| i mod 2; (i / 2) + 1 |]))
+    (int_rows out);
+  Alcotest.(check bool) (Printf.sprintf "%.3f s < 1 s" secs) true (secs < 1.0)
+
+let test_stall_indexed_cascade () =
+  (* 256 rows, three indexes, and an AFTER INSERT trigger whose six-row
+     insert fires it again, four levels deep: 259 trigger statements *)
+  let eng = engine () in
+  ignore
+    (E.run_testcase eng
+       (parse
+          (doubled_table "t8" 5
+           ^ "\nCREATE INDEX i8 ON t8 (c1);\n\
+              CREATE INDEX j8 ON t8 (c2, c1);\n\
+              CREATE INDEX k8 ON t8 (c2);\n\
+              ANALYZE;\n\
+              CREATE TRIGGER tr8 AFTER INSERT ON t8 FOR EACH ROW INSERT INTO \
+              t8 VALUES (1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (6, 6);")));
+  let out, secs = exec_timed eng "INSERT INTO t8 VALUES (0, 0);" in
+  (match out with
+   | [ E.Ok_result (Minidb.Executor.Affected 1) ] -> ()
+   | _ -> Alcotest.fail "expected one row inserted");
+  Alcotest.(check (list (array int))) "table"
+    [ [| 1811; 6335 |] ]
+    (int_rows (fst (exec_timed eng "SELECT COUNT(*), SUM(c1) FROM t8;")));
+  Alcotest.(check (list (array int))) "index scan"
+    [ [| 291 |] ]
+    (int_rows (fst (exec_timed eng "SELECT COUNT(*) FROM t8 WHERE c1 = 6;")));
+  Alcotest.(check bool) (Printf.sprintf "%.3f s < 0.1 s" secs) true (secs < 0.1)
+
 let suite =
   [ ("run_testcase counts", `Quick, test_run_testcase_counts);
     ("window updates on errors", `Quick, test_window_updates_on_errors);
@@ -166,4 +236,6 @@ let suite =
     ("coverage deterministic", `Quick, test_coverage_deterministic);
     ("year/zerofill surface", `Quick, test_year_and_zerofill_dialect_surface);
     ("notify queue payload", `Quick, test_notify_queue_payload);
-    ("fault window contiguity", `Quick, test_fault_window_spans_statements) ]
+    ("fault window contiguity", `Quick, test_fault_window_spans_statements);
+    ("stall: window over a partition", `Quick, test_stall_window_partition);
+    ("stall: indexed trigger cascade", `Quick, test_stall_indexed_cascade) ]

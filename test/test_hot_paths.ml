@@ -1,0 +1,408 @@
+(* Engine hot paths against the algorithms they replaced: window
+   functions memoised per query ({!Minidb.Window}) against the per-row
+   evaluation kept here as the reference, and deferred index rebuilds
+   ({!Storage.Index.defer}) against an eager rebuild. Both must agree on
+   results, raised errors and every coverage byte. *)
+
+open Sqlcore
+open Sqlcore.Ast
+module V = Storage.Value
+module B = Coverage.Bitmap
+module Prop = Reprutil.Prop
+module Rng = Reprutil.Rng
+module E = Minidb.Engine
+module Expr_eval = Minidb.Expr_eval
+
+(* -- window functions ---------------------------------------------- *)
+
+(* The per-row algorithm, as the executor ran it before the memo: every
+   call re-evaluates every row's partition key and re-sorts its
+   partition, evaluating ORDER BY keys inside the comparator. *)
+let reference ~env ~scalar ~n cur_idx fn args over =
+  let eval_at i e = Expr_eval.eval (env i) e in
+  let part_key i = List.map (eval_at i) over.partition_by in
+  let keys_equal a b =
+    List.length a = List.length b
+    && List.for_all2 (fun x y -> V.compare_total x y = 0) a b
+  in
+  let mine = part_key cur_idx in
+  let part =
+    List.filter
+      (fun i -> keys_equal (part_key i) mine)
+      (List.init n (fun i -> i))
+  in
+  let order_key i = List.map (fun (e, _) -> eval_at i e) over.w_order_by in
+  let dirs = List.map snd over.w_order_by in
+  let cmp_order a b =
+    let rec loop ka kb ds =
+      match (ka, kb, ds) with
+      | [], [], _ -> 0
+      | x :: xs, y :: ys, d :: dt ->
+        let c = V.compare_total x y in
+        let c = match d with Asc -> c | Desc -> -c in
+        if c <> 0 then c else loop xs ys dt
+      | _ -> 0
+    in
+    loop (order_key a) (order_key b) dirs
+  in
+  let sorted = List.stable_sort cmp_order part in
+  let pos =
+    let rec find i = function
+      | [] -> 0
+      | x :: _ when x = cur_idx -> i
+      | _ :: t -> find (i + 1) t
+    in
+    find 0 sorted
+  in
+  match fn with
+  | Row_number -> V.Int (pos + 1)
+  | Rank ->
+    let before =
+      List.filteri (fun i x -> i < pos && cmp_order x cur_idx < 0) sorted
+    in
+    V.Int (List.length before + 1)
+  | Dense_rank ->
+    let distinct_before =
+      List.sort_uniq compare
+        (List.filteri (fun i _ -> i < pos) sorted
+         |> List.filter_map (fun x ->
+             if cmp_order x cur_idx < 0 then
+               Some (List.map V.to_display (order_key x))
+             else None))
+    in
+    V.Int (List.length distinct_before + 1)
+  | Lead | Lag ->
+    let offset =
+      match args with
+      | _ :: o :: _ -> (
+          match Expr_eval.eval scalar o with V.Int n -> n | _ -> 1)
+      | _ -> 1
+    in
+    let target = if fn = Lead then pos + offset else pos - offset in
+    if target < 0 || target >= List.length sorted then
+      (match args with
+       | _ :: _ :: d :: _ -> Expr_eval.eval scalar d
+       | _ -> V.Null)
+    else
+      let idx = List.nth sorted target in
+      (match args with e :: _ -> eval_at idx e | [] -> V.Null)
+  | Ntile ->
+    let buckets =
+      match args with
+      | b :: _ -> (
+          match Expr_eval.eval scalar b with
+          | V.Int n when n > 0 -> n
+          | _ -> 1)
+      | [] -> 1
+    in
+    let total = List.length sorted in
+    V.Int ((pos * buckets / max 1 total) + 1)
+
+let cols = [| "c0"; "c1"; "c2" |]
+
+let gen_value rng =
+  match Rng.int rng 6 with
+  | 0 -> V.Null
+  | 1 | 2 -> V.Int (Rng.int rng 5 - 2)
+  | 3 -> V.Float (Rng.choose rng [ 0.5; 1.0; -1.5 ])
+  | 4 -> V.Text (Rng.choose rng [ "a"; "b"; "1"; "" ])
+  | _ -> V.Bool (Rng.bool rng)
+
+let gen_col rng = Col (None, Rng.choose_arr rng cols)
+
+let gen_lit rng =
+  Lit (Rng.choose rng [ L_null; L_int 0; L_int 1; L_string "a"; L_float 0.5 ])
+
+(* Keys that probe (CASE, CAST, comparisons, arithmetic, AND), keys that
+   fail, and keys whose scalar subquery runs at every use. *)
+let gen_key rng =
+  match Rng.int rng 24 with
+  | 0 | 1 | 2 | 3 | 4 -> gen_col rng
+  | 5 | 6 | 7 ->
+    Case ([ (Binop (Gt, gen_col rng, gen_lit rng), gen_col rng) ],
+          Some (gen_lit rng))
+  | 8 | 9 | 10 -> Cast (gen_col rng, Rng.choose rng [ T_int; T_text; T_bool ])
+  | 11 | 12 | 13 ->
+    Binop (Rng.choose rng [ Eq; Lt; Ge ], gen_col rng, gen_col rng)
+  | 14 | 15 -> Binop (Add, gen_col rng, Lit (L_int 1))
+  | 16 | 17 -> Binop (And, gen_col rng, gen_col rng)
+  | 18 -> Col (None, "missing")
+  | 19 -> Fn ("NO_SUCH_FN", [ gen_col rng ])
+  | 20 -> Binop (Mul, gen_col rng, Subquery (Q_values [ [ Lit (L_int 2) ] ]))
+  | _ -> Is_null (gen_col rng, false)
+
+let gen_over rng =
+  { partition_by = List.init (Rng.int rng 3) (fun _ -> gen_key rng);
+    w_order_by =
+      List.init (Rng.int rng 3) (fun _ ->
+          (gen_key rng, Rng.choose rng [ Asc; Desc ]));
+    frame = None }
+
+let gen_call rng over =
+  let fn = Rng.choose rng [ Row_number; Rank; Dense_rank; Lead; Lag; Ntile ] in
+  let args =
+    match fn with
+    | Row_number | Rank | Dense_rank -> []
+    | Lead | Lag ->
+      let off = Lit (L_int (Rng.int rng 4 - 1)) in
+      (match Rng.int rng 3 with
+       | 0 -> [ gen_col rng ]
+       | 1 -> [ gen_col rng; off ]
+       | _ -> [ gen_col rng; off; gen_lit rng ])
+    | Ntile -> [ Lit (L_int (Rng.int rng 5)) ]
+  in
+  Win { fn; args; over }
+
+(* A table of 0-12 rows and a projection of 1-4 window calls. Calls
+   draw their OVER clause from a pool of one or two, so one SELECT
+   repeats the same clause; a repeat is sometimes a structural copy. *)
+let gen_window_case rng =
+  let rows =
+    List.init (Rng.int rng 13) (fun _ ->
+        Array.init (Array.length cols) (fun _ -> gen_value rng))
+  in
+  let pool = Array.init (1 + Rng.int rng 2) (fun _ -> gen_over rng) in
+  let projs =
+    List.init (1 + Rng.int rng 4) (fun _ ->
+        let over = Rng.choose_arr rng pool in
+        let over = if Rng.bool rng then over else { over with frame = None } in
+        let call = gen_call rng over in
+        if Rng.int rng 4 = 0 then Binop (Add, call, Lit (L_int 1)) else call)
+  in
+  (rows, projs)
+
+let print_window_case (rows, projs) =
+  Printf.sprintf "%d rows [%s]; SELECT %s" (List.length rows)
+    (String.concat "; "
+       (List.map
+          (fun r ->
+             String.concat "," (Array.to_list (Array.map V.to_display r)))
+          rows))
+    (String.concat ", " (List.map Sql_printer.expr projs))
+
+let describe = function
+  | Minidb.Errors.Sql_error e -> Minidb.Errors.message e
+  | e -> Printexc.to_string e
+
+(* Evaluate the projection over every row, as the executor does, with
+   window calls answered by the memo or by the reference. Returns the
+   rows or the error, the exec map's compact form and how many
+   subqueries ran. *)
+let run_window ~memo (rows, projs) =
+  let cov = B.create () in
+  let subqueries = ref 0 in
+  let rows = Array.of_list rows in
+  let n = Array.length rows in
+  let probe ~site ~key = B.probe cov ~site ~key in
+  let scalar =
+    { Expr_eval.cols = (fun _ _ -> None);
+      run_query =
+        (fun _ ->
+           incr subqueries;
+           B.probe cov ~site:7 ~key:0;
+           [ [| V.Int 2 |] ]);
+      agg = Expr_eval.no_agg; win = Expr_eval.no_win; probe }
+  in
+  let env i =
+    let find name =
+      let rec go j =
+        if j >= Array.length cols then None
+        else if cols.(j) = name then Some rows.(i).(j)
+        else go (j + 1)
+      in
+      go 0
+    in
+    { scalar with
+      cols = (fun _ name -> find name);
+      run_query =
+        (fun _ ->
+           incr subqueries;
+           B.probe cov ~site:7 ~key:(1 + (i mod 3));
+           [ [| V.Int (i mod 3) |] ]) }
+  in
+  let memos = ref [] in
+  let win i fn args over =
+    if memo then begin
+      let w =
+        match List.assq_opt over !memos with
+        | Some w -> w
+        | None ->
+          let w = Minidb.Window.create ~cov ~env ~rows:n over in
+          memos := (over, w) :: !memos;
+          w
+      in
+      Minidb.Window.value w (Minidb.Window.place w i fn) ~scalar fn args
+    end
+    else reference ~env ~scalar ~n i fn args over
+  in
+  let result =
+    match
+      List.init n (fun i ->
+          let env = { (env i) with win = win i } in
+          List.map (Expr_eval.eval env) projs)
+    with
+    | out -> Ok out
+    | exception e -> Error (describe e)
+  in
+  (result, B.compact cov, !subqueries)
+
+let prop_window_memo () =
+  Prop.check ~count:1000 ~name:"memoised window ≡ per-row reference"
+    (Prop.make ~print:print_window_case gen_window_case)
+    (fun case -> run_window ~memo:true case = run_window ~memo:false case)
+
+(* -- deferred index rebuilds --------------------------------------- *)
+
+let profile =
+  Minidb.Profile.make ~name:"clean" ~flavor:Minidb.Profile.Pg
+    ~types:Stmt_type.all ~bugs:[]
+
+let setup =
+  "CREATE TABLE t (a INT, b INT, c TEXT);\n\
+   CREATE INDEX ia ON t (a);\n\
+   CREATE UNIQUE INDEX ib ON t (b);\n\
+   CREATE INDEX ica ON t (c, a);\n\
+   CREATE TABLE log (x INT);\n\
+   CREATE INDEX ix ON log (x);\n\
+   ANALYZE;"
+
+let key_sql k = if k = 4 then "NULL" else string_of_int k
+
+(* No statement here fails after changing its table: one that does
+   raises before its index sync and leaves the indexes stale, in the
+   eager engine as in the deferred one, so an UPDATE of the unique
+   column touches at most one row. *)
+let gen_stmt rng =
+  let k () = key_sql (Rng.int rng 5) in
+  match Rng.int rng 9 with
+  | 0 | 1 | 2 ->
+    Printf.sprintf "INSERT INTO t VALUES (%s, %s, 'v%d');" (k ()) (k ())
+      (Rng.int rng 2)
+  | 3 ->
+    Printf.sprintf "UPDATE t SET b = %s WHERE b = %d;" (k ()) (Rng.int rng 4)
+  | 4 -> Printf.sprintf "UPDATE t SET a = %s;" (k ())
+  | 5 -> Printf.sprintf "DELETE FROM t WHERE b = %s;" (k ())
+  | 6 ->
+    Printf.sprintf
+      "CREATE TRIGGER tr%d AFTER INSERT ON t FOR EACH ROW INSERT INTO log \
+       VALUES (%s);"
+      (Rng.int rng 2) (k ())
+  | 7 -> Rng.choose rng [ "BEGIN;"; "ROLLBACK;"; "COMMIT;" ]
+  | _ -> Printf.sprintf "DELETE FROM log WHERE x = %s;" (k ())
+
+(* Between statements: snapshot the engine or restore the last
+   snapshot while index syncs are pending, or scan through an index,
+   which runs its pending sync. *)
+type step = Stmt of string | Snapshot | Restore | Scan
+
+let gen_steps rng =
+  List.init (Rng.int rng 24) (fun _ ->
+      match Rng.int rng 9 with
+      | 0 -> Snapshot
+      | 1 -> Restore
+      | 2 -> Scan
+      | _ -> Stmt (gen_stmt rng))
+
+let print_steps steps =
+  String.concat " "
+    (List.map
+       (function
+         | Stmt s -> s
+         | Snapshot -> "<snapshot>"
+         | Restore -> "<restore>"
+         | Scan -> "<scan>")
+       steps)
+
+let key_domain =
+  List.map (fun k -> if k = 4 then V.Null else V.Int k) [ 0; 1; 2; 3; 4 ]
+
+(* Every index of a deep copy against an eager rebuild from its table's
+   current rows, on every key of the domain. *)
+let indexes_match eng =
+  let cat = Minidb.Catalog.deep_copy (E.catalog eng) in
+  Hashtbl.fold
+    (fun _ (spec : Minidb.Catalog.index_spec) ok ->
+       ok
+       &&
+       match Hashtbl.find_opt cat.Minidb.Catalog.tables spec.x_table with
+       | None -> true
+       | Some tbl ->
+         let positions =
+           List.filter_map (Storage.Table.col_index tbl) spec.x_cols
+         in
+         let eager = Storage.Index.create ~unique:spec.x_unique in
+         Storage.Table.iter
+           (fun rowid row ->
+              ignore
+                (Storage.Index.add eager
+                   (List.map (fun p -> row.(p)) positions)
+                   rowid))
+           tbl;
+         let keys =
+           match spec.x_cols with
+           | [ _ ] -> List.map (fun v -> [ v ]) key_domain
+           | _ ->
+             List.concat_map
+               (fun v -> [ [ V.Text "v0"; v ]; [ V.Text "v1"; v ] ])
+               key_domain
+         in
+         List.for_all
+           (fun key ->
+              Storage.Index.find spec.x_data key
+              = Storage.Index.find eager key)
+           keys)
+    cat.Minidb.Catalog.indexes true
+
+(* An index-eq scan returns the rows a forced sequential scan does. *)
+let scans_match eng =
+  List.for_all
+    (fun k ->
+       let select =
+         Sqlparser.Parser.parse_testcase_exn
+           (Printf.sprintf "SELECT a, b, c FROM t WHERE a = %s;" (key_sql k))
+       in
+       let run mode =
+         E.set_plan_mode eng mode;
+         let r =
+           List.map
+             (fun s ->
+                match E.exec_stmt eng s with
+                | E.Ok_result (Minidb.Executor.Rows (_, rows)) ->
+                  Ok (List.sort compare rows)
+                | E.Ok_result _ -> Error "no rows"
+                | E.Sql_failed e -> Error (Minidb.Errors.message e))
+             select
+         in
+         E.set_plan_mode eng Minidb.Executor.Plan_auto;
+         r
+       in
+       run Minidb.Executor.Plan_auto = run Minidb.Executor.Plan_force_seq)
+    [ 0; 1; 2; 3 ]
+
+let prop_deferred_index () =
+  Prop.check ~count:300 ~name:"deferred index sync ≡ eager rebuild"
+    (Prop.make ~print:print_steps gen_steps)
+    (fun steps ->
+       let eng =
+         ref (E.create ~profile ~cov:(B.create ()) ())
+       in
+       ignore
+         (E.run_testcase !eng (Sqlparser.Parser.parse_testcase_exn setup));
+       let snap = ref (E.snapshot !eng) in
+       List.for_all
+         (fun step ->
+            (match step with
+             | Stmt s ->
+               ignore
+                 (E.run_testcase !eng (Sqlparser.Parser.parse_testcase_exn s))
+             | Snapshot -> snap := E.snapshot !eng
+             | Restore -> eng := E.restore !snap ~cov:(B.create ()) ()
+             | Scan -> ignore (scans_match !eng));
+            (* check copies, so the engine's own syncs stay pending *)
+            indexes_match !eng
+            && scans_match (E.restore (E.snapshot !eng) ~cov:(B.create ()) ()))
+         steps)
+
+let suite =
+  [ ("window memo ≡ per-row reference", `Quick, prop_window_memo);
+    ("deferred index ≡ eager rebuild", `Quick, prop_deferred_index) ]

@@ -20,6 +20,7 @@ let () =
       ("printer_astutil", Test_printer_astutil.suite);
       ("planner_rewriter", Test_planner_rewriter.suite);
       ("engine", Test_engine.suite);
+      ("hot_paths", Test_hot_paths.suite);
       ("reducer", Test_reducer.suite);
       ("oracle", Test_oracle.suite);
       ("campaign", Test_campaign.suite);
