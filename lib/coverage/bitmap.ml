@@ -61,13 +61,17 @@ let slot ~site ~key =
 
 let probe t ~site ~key = hit t (slot ~site ~key)
 
-let probe_n t ~site ~key n =
+let hit_n t index n =
   if n > 0 then begin
-    let i = slot ~site ~key land mask in
+    let i = index land mask in
     let v = Char.code (Bytes.unsafe_get t.buf i) in
     if v = 0 then mark t i;
-    Bytes.unsafe_set t.buf i (Char.unsafe_chr (min 255 (v + n)))
+    (* not [min]: the polymorphic compare would cost a C call per cell *)
+    let v = v + n in
+    Bytes.unsafe_set t.buf i (Char.unsafe_chr (if v > 255 then 255 else v))
   end
+
+let probe_n t ~site ~key n = hit_n t (slot ~site ~key) n
 
 (* [probe]'s xor-of-products folds the site id in linearly, so distinct
    (site, key) pairs can alias to one slot with nothing downstream able
@@ -253,6 +257,34 @@ let hash t =
       if c <> 0 then h := fnv !h (Int64.of_int ((i lsl 8) lor bucket c))
     done;
   !h
+
+(* Touched cells in first-touch order, 3 bytes each (big-endian index,
+   then value). Replaying packed maps one after another through [hit_n]
+   reproduces the map their hits would have built in sequence: same
+   cells, same saturated counts, same first-touch (dirty) order. A
+   saturated map has lost its touch order, so it does not pack. *)
+let pack t =
+  if t.saturated then None
+  else begin
+    let b = Bytes.create (3 * t.n_dirty) in
+    for k = 0 to t.n_dirty - 1 do
+      let i = Array.unsafe_get t.dirty k in
+      Bytes.set_uint16_be b (3 * k) i;
+      Bytes.unsafe_set b ((3 * k) + 2) (Bytes.unsafe_get t.buf i)
+    done;
+    Some (Bytes.unsafe_to_string b)
+  end
+
+let add_packed t cells ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > String.length cells then
+    invalid_arg "Bitmap.add_packed";
+  for k = 0 to (len / 3) - 1 do
+    let o = pos + (3 * k) in
+    hit_n t
+      ((Char.code (String.unsafe_get cells o) lsl 8)
+       lor Char.code (String.unsafe_get cells (o + 1)))
+      (Char.code (String.unsafe_get cells (o + 2)))
+  done
 
 let is_set t i = Bytes.get t.buf (i land mask) <> '\000'
 

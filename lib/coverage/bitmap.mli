@@ -30,10 +30,13 @@ val hit : t -> int -> unit
 val probe : t -> site:int -> key:int -> unit
 (** Record that probe [site] fired in state [key]. *)
 
+val hit_n : t -> int -> int -> unit
+(** [hit_n t index n] leaves the map exactly as [n] calls to {!hit}
+    would: the cell saturates at 255 and is marked dirty on the same
+    first touch. [n <= 0] does nothing. *)
+
 val probe_n : t -> site:int -> key:int -> int -> unit
-(** [probe_n t ~site ~key n] leaves the map exactly as [n] calls to
-    {!probe} would: the cell saturates at 255 and is marked dirty on the
-    same first touch. [n <= 0] does nothing. *)
+(** [n] calls to {!probe} at once, with {!hit_n}'s saturation. *)
 
 val mix : site:int -> key:int -> int
 (** Avalanching slot index for [(site, key)]. Unlike {!probe}'s
@@ -89,6 +92,19 @@ val diff : t -> since:t -> int
 val hash : t -> int64
 (** Order-insensitive 64-bit digest of the bucketed map, used to
     deduplicate seeds with identical coverage. *)
+
+val pack : t -> string option
+(** The touched cells in first-touch order, 3 bytes per cell (16-bit
+    big-endian index, then the value); [None] when the map has touched
+    more cells than its dirty list holds and so lost the order. *)
+
+val add_packed : t -> string -> pos:int -> len:int -> unit
+(** Replay the {!pack}ed map stored in bytes [\[pos, pos + len)] of a
+    string through {!hit_n}, cell by cell in its first-touch order.
+    Replaying [pack a] then [pack b] into a reset map leaves it exactly
+    as the hits behind [a] followed by those behind [b] would have: the
+    same cells and saturated counts, touched in the same order — so
+    {!compact}, {!merge_into} and {!count_news} see the same input. *)
 
 val is_set : t -> int -> bool
 

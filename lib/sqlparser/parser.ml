@@ -1320,14 +1320,19 @@ and parse_insert_body st =
   in
   let i_source =
     if accept_kw st "VALUES" then begin
+      (* [()] is a zero-column row: what the printer emits for a table
+         whose every column was dropped *)
       let row () =
         expect_tok st Lexer.LPAREN "(";
-        let es = ref [ parse_expr_top st ] in
-        while accept_tok st Lexer.COMMA do
-          es := parse_expr_top st :: !es
-        done;
-        expect_tok st Lexer.RPAREN ")";
-        List.rev !es
+        if accept_tok st Lexer.RPAREN then []
+        else begin
+          let es = ref [ parse_expr_top st ] in
+          while accept_tok st Lexer.COMMA do
+            es := parse_expr_top st :: !es
+          done;
+          expect_tok st Lexer.RPAREN ")";
+          List.rev !es
+        end
       in
       let rows = ref [ row () ] in
       while accept_tok st Lexer.COMMA do
@@ -1472,20 +1477,20 @@ and parse_set st =
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* lexer contribution: every token class fired by the input, as
+   children of the root production *)
+let record_tokens g toks =
+  Array.iter
+    (fun tok ->
+       if tok <> Lexer.EOF then
+         Coverage.Grammar.record g ~site:(Lexer.token_site tok)
+           ~parent:site_root)
+    toks
+
 let with_state ?grammar input f =
   try
     let toks = Lexer.tokenize input in
-    (* lexer contribution: every token class fired by the input, as
-       children of the root production *)
-    (match grammar with
-     | Some g ->
-       Array.iter
-         (fun tok ->
-            if tok <> Lexer.EOF then
-              Coverage.Grammar.record g ~site:(Lexer.token_site tok)
-                ~parent:site_root)
-         toks
-     | None -> ());
+    Option.iter (fun g -> record_tokens g toks) grammar;
     let st = { toks; pos = 0; grammar; parent = site_root } in
     Ok (f st)
   with
@@ -1519,6 +1524,64 @@ let parse_stmt_state st =
   let _ = accept_tok st Lexer.SEMI in
   finish_eof st;
   s
+
+(* Why a testcase's grammar map splits into per-statement parts:
+   [Sql_printer.testcase] joins statements with ";\n" and ends with
+   ";", and the lexer holds no state across a [;] token, so the
+   testcase's tokens are each [text ^ ";"]'s tokens in turn. A
+   statement that parses to exactly its own [;] makes the testcase loop
+   consume that [;] and nothing more, and no lookahead decision at the
+   [;] depends on what follows it. Anything else — a lex error, a parse
+   error, a statement stopping short of its [;] or running past it —
+   is not clean, and the caller must parse the whole testcase.
+
+   One string holds both parts: the token part's length (2 bytes,
+   big-endian), the packed token cells, then the packed production
+   cells — one allocation per memo entry. *)
+let stmt_cells ~scratch text =
+  match Lexer.tokenize (text ^ ";") with
+  | exception Lexer.Lex_error _ -> None
+  | toks ->
+    let semi = Array.length toks - 2 in
+    if semi < 1 || toks.(semi) <> Lexer.SEMI then None
+    else begin
+      Coverage.Bitmap.reset scratch;
+      record_tokens scratch toks;
+      match Coverage.Bitmap.pack scratch with
+      | None -> None
+      | Some tokens ->
+        Coverage.Bitmap.reset scratch;
+        let st =
+          { toks; pos = 0; grammar = Some scratch; parent = site_testcase }
+        in
+        (match parse_stmt st with
+         | exception Parse_error _ -> None
+         | _ when st.pos <> semi -> None
+         | _ ->
+           Option.map
+             (fun parse ->
+                let n = String.length tokens in
+                let b = Bytes.create (2 + n + String.length parse) in
+                Bytes.set_uint16_be b 0 n;
+                Bytes.blit_string tokens 0 b 2 n;
+                Bytes.blit_string parse 0 b (2 + n) (String.length parse);
+                Bytes.unsafe_to_string b)
+             (Coverage.Bitmap.pack scratch))
+    end
+
+(* [parse_testcase ~grammar]'s recording order: all token cells, the
+   [testcase] rule, then each statement's productions. *)
+let replay_testcase g cells =
+  List.iter
+    (fun c ->
+       Coverage.Bitmap.add_packed g c ~pos:2 ~len:(String.get_uint16_be c 0))
+    cells;
+  Coverage.Grammar.record g ~site:site_testcase ~parent:site_root;
+  List.iter
+    (fun c ->
+       let n = 2 + String.get_uint16_be c 0 in
+       Coverage.Bitmap.add_packed g c ~pos:n ~len:(String.length c - n))
+    cells
 
 let parse_stmt ?grammar input = with_state ?grammar input parse_stmt_state
 

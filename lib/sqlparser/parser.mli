@@ -25,6 +25,27 @@ val parse_stmt :
   ?grammar:Coverage.Bitmap.t -> string -> (Sqlcore.Ast.stmt, string) result
 (** Parse a single statement (an optional trailing [';'] is accepted). *)
 
+(** {2 Per-statement grammar maps}
+
+    A clean statement's share of a testcase's grammar map, computed once
+    and replayed into every testcase that contains it. *)
+
+val stmt_cells : scratch:Coverage.Bitmap.t -> string -> string option
+(** The cells one printed statement [text] contributes when it sits in a
+    {!Sqlcore.Sql_printer.testcase}: the token cells of [text ^ ";"]
+    under [root] and the statement's production cells under
+    [testcase], both in touch order with their counts, packed into one
+    string for {!replay_testcase}. [None] unless the statement is
+    clean: it lexes, and parses to exactly its own terminating [;]. On
+    [None] only a whole-testcase {!parse_testcase} gives the right map.
+    [scratch] is clobbered. *)
+
+val replay_testcase : Coverage.Bitmap.t -> string list -> unit
+(** Replay the cells of a testcase's statements, in order, into a reset
+    map. The result equals [parse_testcase ~grammar] of the printed
+    testcase — cells, counts and first-touch order — provided the list
+    is non-empty and every statement was clean. *)
+
 val parse_expr :
   ?grammar:Coverage.Bitmap.t -> string -> (Sqlcore.Ast.expr, string) result
 (** Parse a stand-alone expression (for tests and tools). *)

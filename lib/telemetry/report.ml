@@ -283,7 +283,17 @@ let render_grammar buf events =
             (Printf.sprintf "  %-28s %12d\n" "rule pairs fired" pairs);
           Buffer.add_string buf
             (Printf.sprintf "  %-28s %12d\n" "parse errors"
-               (Registry.counter_value registry "grammar.parse_errors"))
+               (Registry.counter_value registry "grammar.parse_errors"));
+          let hits = Registry.counter_value registry "grammar.memo_hits" in
+          let misses =
+            Registry.counter_value registry "grammar.memo_misses"
+          in
+          if hits + misses > 0 then
+            Buffer.add_string buf
+              (Printf.sprintf "  %-28s %11.1f%% (%d hits, %d misses)\n"
+                 "statement memo hit rate"
+                 (100.0 *. float_of_int hits /. float_of_int (hits + misses))
+                 hits misses)
         end
       | _ -> ())
     events

@@ -214,6 +214,27 @@ let test_roundtrip_corpus () =
       (Prop.list ~max_len:12 gen_xseed)
       (fun seeds -> roundtrips dir { (base ()) with Store.sn_seeds = seeds }))
 
+(* A corpus case whose table lost every column prints zero-column rows;
+   the store must load it back instead of skipping the generation. *)
+let test_roundtrip_zero_column_insert () =
+  with_dir "rt-zero-col" (fun dir ->
+    let tc =
+      Sqlparser.Parser.parse_testcase_exn
+        "CREATE TABLE v2 (c1 INT); ALTER TABLE v2 DROP COLUMN c1; \
+         INSERT INTO v2 VALUES (), ();"
+    in
+    let seed =
+      { Sync.xs_tc = tc; xs_cov_hash = 7L; xs_new_branches = 3; xs_cost = 4 }
+    in
+    let sn = { (base ()) with Store.sn_seeds = [ seed ] } in
+    let (_ : int) = Store.save ~keep:1 ~dir sn in
+    match Store.load ~dir with
+    | Ok (sn', _, skipped) ->
+      Alcotest.(check (list string)) "no generation skipped" [] skipped;
+      Alcotest.(check bool) "corpus restored" true
+        (Store.snapshot_equal sn sn')
+    | Error errs -> Alcotest.fail (String.concat "; " errs))
+
 let test_roundtrip_affinities () =
   with_dir "rt-aff" (fun dir ->
     Prop.check ~name:"affinities save→load ≡ identity" gen_affinities
@@ -1057,6 +1078,8 @@ let test_processes_parity () =
 let suite =
   [ Alcotest.test_case "roundtrip: meta" `Quick test_roundtrip_meta;
     Alcotest.test_case "roundtrip: corpus" `Quick test_roundtrip_corpus;
+    Alcotest.test_case "roundtrip: zero-column insert" `Quick
+      test_roundtrip_zero_column_insert;
     Alcotest.test_case "roundtrip: affinities" `Quick
       test_roundtrip_affinities;
     Alcotest.test_case "roundtrip: skeletons" `Quick test_roundtrip_skeletons;

@@ -1,8 +1,10 @@
-(* Engine hot paths against the algorithms they replaced: window
-   functions memoised per query ({!Minidb.Window}) against the per-row
-   evaluation kept here as the reference, and deferred index rebuilds
-   ({!Storage.Index.defer}) against an eager rebuild. Both must agree on
-   results, raised errors and every coverage byte. *)
+(* Hot paths against the algorithms they replaced: window functions
+   memoised per query ({!Minidb.Window}) against the per-row evaluation
+   kept here as the reference, deferred index rebuilds
+   ({!Storage.Index.defer}) against an eager rebuild, and grammar maps
+   assembled by the per-statement memo ({!Fuzz.Grammar_memo}) against a
+   whole-testcase parse. Each must agree on results, raised errors and
+   every coverage byte. *)
 
 open Sqlcore
 open Sqlcore.Ast
@@ -403,6 +405,142 @@ let prop_deferred_index () =
             && scans_match (E.restore (E.snapshot !eng) ~cov:(B.create ()) ()))
          steps)
 
+(* -- per-statement grammar memo --------------------------------------- *)
+
+let stmt_types = Array.of_list Stmt_type.all
+
+let gen_generated rng =
+  let schema = Lego.Sym_schema.empty () in
+  List.init (1 + Rng.int rng 8) (fun _ ->
+      let s = Lego.Generator.stmt rng schema (Rng.choose_arr rng stmt_types) in
+      Lego.Sym_schema.apply schema s;
+      s)
+
+let gen_triggers rng =
+  let schema = Lego.Sym_schema.empty () in
+  let gen ty =
+    let s = Lego.Generator.stmt rng schema ty in
+    Lego.Sym_schema.apply schema s;
+    s
+  in
+  let table = gen Stmt_type.Create_table in
+  let triggers =
+    List.init (1 + Rng.int rng 3) (fun _ -> gen Stmt_type.Create_trigger)
+  in
+  (table :: triggers) @ [ gen Stmt_type.Insert ]
+
+let insert_string str =
+  S_insert
+    { i_table = "t"; i_cols = [];
+      i_source = Src_values [ [ Lit (L_string str) ] ]; i_ignore = false }
+
+(* Statements whose printed text holds a [;] or a comment marker. The
+   first three lex and parse on their own; the rest are not clean: a lex
+   error, a parse error, two statements in one text (the testcase still
+   parses), and comments that swallow the terminating [;] — the last
+   one after a statement that stops short of its final token. *)
+let awkward =
+  [| insert_string "a;b"; insert_string "x'; -- y"; S_truncate "t; -- c";
+     S_truncate "a$b"; S_truncate "select"; S_truncate "t; SELECT 1";
+     S_truncate "t -- c"; S_truncate "t x -- c" |]
+
+let insert_at rng s tc =
+  let pos = Rng.int rng (List.length tc + 1) in
+  List.filteri (fun i _ -> i < pos) tc
+  @ (s :: List.filteri (fun i _ -> i >= pos) tc)
+
+let skeletons = Lego.Skeleton_library.create ()
+
+let gen_grammar_case rng =
+  match Rng.int rng 10 with
+  | 0 | 1 | 2 -> gen_generated rng
+  | 3 ->
+    let tc = gen_generated rng in
+    let mutants =
+      Lego.Seq_mutation.mutate_at rng ~skeletons ~types:Stmt_type.all tc
+        ~pos:(Rng.int rng (List.length tc))
+    in
+    snd (Rng.choose rng mutants)
+  | 4 -> Lego.Conventional.mutate_testcase rng (gen_generated rng)
+  | 5 -> []
+  | 6 ->
+    (* more than 255 copies: every cell of the statement saturates *)
+    let s = List.hd (gen_generated rng) in
+    List.init (256 + Rng.int rng 64) (fun _ -> s)
+  | 7 -> gen_triggers rng
+  | _ -> insert_at rng (Rng.choose_arr rng awkward) (gen_generated rng)
+
+let print_grammar_case (tc, other, vseed) =
+  Printf.sprintf "%s\n-- virgin from (seed %d):\n%s" (Sql_printer.testcase tc)
+    vseed (Sql_printer.testcase other)
+
+let parse_map tc =
+  let g = B.create () in
+  let ok =
+    Result.is_ok
+      (Sqlparser.Parser.parse_testcase ~grammar:g (Sql_printer.testcase tc))
+  in
+  (g, ok)
+
+(* A virgin map holding another testcase's grammar coverage plus random
+   bucket bits on about half of [reference]'s own cells, so count_news
+   sees both fresh and partly covered cells. *)
+let random_virgin rng ~reference other =
+  let v = B.create () in
+  ignore (B.merge_into ~virgin:v other);
+  let bits =
+    List.filter_map
+      (fun (i, _) ->
+         if Rng.bool rng then Some (i, 1 lsl Rng.int rng 8) else None)
+      (B.compact_cells (B.compact reference))
+  in
+  let src = B.create () in
+  B.load_compact ~into:src (B.compact_of_cells bits);
+  ignore (B.merge ~into:v src);
+  v
+
+let prop_grammar_memo () =
+  let reg = Telemetry.Registry.create () in
+  let hits = Telemetry.Registry.counter reg "grammar.memo_hits" in
+  let misses = Telemetry.Registry.counter reg "grammar.memo_misses" in
+  let memo = Fuzz.Grammar_memo.create ~hits ~misses in
+  (* one map for every case, as the harness reuses its scratch maps *)
+  let built = B.create () in
+  let scratch = B.create () in
+  let fallbacks = ref 0 and saturated = ref 0 in
+  Prop.check ~count:1000 ~name:"grammar memo ≡ whole-testcase parse"
+    (Prop.make ~print:print_grammar_case (fun rng ->
+         let tc = gen_grammar_case rng in
+         (tc, gen_generated rng, Rng.int rng 1_000_000)))
+    (fun (tc, other, vseed) ->
+       let full, verdict = parse_map tc in
+       let ok = Fuzz.Grammar_memo.fill memo built tc in
+       if
+         tc = []
+         || List.exists
+              (fun s ->
+                 Sqlparser.Parser.stmt_cells ~scratch (Sql_printer.stmt s)
+                 = None)
+              tc
+       then incr fallbacks;
+       if
+         List.exists (fun (_, c) -> c = 255)
+           (B.compact_cells (B.compact full))
+       then incr saturated;
+       let virgin =
+         random_virgin (Rng.create vseed) ~reference:full
+           (fst (parse_map other))
+       in
+       ok = verdict
+       && B.compact built = B.compact full
+       && B.count_news ~virgin built = B.count_news ~virgin full);
+  let value = Telemetry.Registry.counter_value reg in
+  Alcotest.(check bool) "memo hits" true (value "grammar.memo_hits" > 0);
+  Alcotest.(check bool) "memo misses" true (value "grammar.memo_misses" > 0);
+  Alcotest.(check bool) "fallback exercised" true (!fallbacks > 0);
+  Alcotest.(check bool) "saturation exercised" true (!saturated > 0)
+
 let suite =
   [ ("window memo ≡ per-row reference", `Quick, prop_window_memo);
-    ("deferred index ≡ eager rebuild", `Quick, prop_deferred_index) ]
+    ("deferred index ≡ eager rebuild", `Quick, prop_deferred_index);
+    ("grammar memo ≡ whole-testcase parse", `Quick, prop_grammar_memo) ]

@@ -266,6 +266,28 @@ let test_grammar_off_is_plain_parse () =
   Alcotest.(check bool) "grammar map populated" true
     (Coverage.Bitmap.count_nonzero g > 0)
 
+(* After every column of a table is dropped, the printer emits
+   zero-column rows; the parser must read them back. *)
+let test_zero_column_insert_roundtrip () =
+  let s =
+    Ast.S_insert
+      { i_table = "v2"; i_cols = []; i_source = Src_values [ []; [] ];
+        i_ignore = false }
+  in
+  let printed = Sql_printer.stmt s in
+  Alcotest.(check string) "printed form" "INSERT INTO v2 VALUES (), ()"
+    printed;
+  Alcotest.(check bool) "re-parses to the same statement" true
+    (parse_ok printed = s);
+  let tc =
+    "CREATE TABLE v2 (c1 INT); ALTER TABLE v2 DROP COLUMN c1; " ^ printed
+  in
+  match P.parse_testcase tc with
+  | Ok parsed ->
+    Alcotest.(check bool) "testcase round trip" true
+      (P.parse_testcase (Sql_printer.testcase parsed) = Ok parsed)
+  | Error msg -> Alcotest.fail msg
+
 let suite =
   [ ("lexer tokens", `Quick, test_lexer_tokens);
     ("lexer comments", `Quick, test_lexer_comments);
@@ -283,4 +305,6 @@ let suite =
     ("grammar bitmap deterministic (1000 cases)", `Quick,
      test_grammar_bitmap_deterministic);
     ("grammar off is plain parse", `Quick, test_grammar_off_is_plain_parse);
+    ("zero-column insert round trip", `Quick,
+     test_zero_column_insert_roundtrip);
     QCheck_alcotest.to_alcotest prop_generator_roundtrip ]

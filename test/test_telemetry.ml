@@ -196,6 +196,8 @@ let test_report_grammar_section () =
   let reg = T.Registry.create () in
   T.Registry.set_max (T.Registry.gauge reg "grammar.rules") 17;
   T.Registry.set_max (T.Registry.gauge reg "grammar.pairs") 23;
+  T.Registry.incr ~by:9 (T.Registry.counter reg "grammar.memo_hits");
+  T.Registry.incr ~by:1 (T.Registry.counter reg "grammar.memo_misses");
   let out =
     T.Report.render
       [ T.Event.Registry_dump { series = "aggregate"; registry = reg } ]
@@ -206,7 +208,8 @@ let test_report_grammar_section () =
          (Printf.sprintf "grammar section mentions %S" needle)
          true (mentions out needle))
     [ "grammar coverage [aggregate]"; "rules fired"; "rule pairs fired";
-      "parse errors" ];
+      "parse errors"; "statement memo hit rate";
+      "90.0% (9 hits, 1 misses)" ];
   (* a registry without grammar gauges must not emit the section *)
   let plain = T.Report.render
       [ T.Event.Registry_dump { series = "x"; registry = T.Registry.create () } ]
