@@ -23,6 +23,7 @@ type run_stats = {
   rs_crash : Fault.crash option;
   rs_cost : int;
   rs_rows_scanned : int;
+  rs_trigger_firings : int;
 }
 
 let window_cap = 8
@@ -106,7 +107,7 @@ let exec_stmt t stmt =
 
 let empty_stats =
   { rs_executed = 0; rs_errors = 0; rs_crash = None; rs_cost = 0;
-    rs_rows_scanned = 0 }
+    rs_rows_scanned = 0; rs_trigger_firings = 0 }
 
 (* [carry] holds the stats of a prefix already replayed into this engine
    (by the harness's snapshot cache): the returned stats and the metric
@@ -122,9 +123,13 @@ let run_testcase_from ?(carry = empty_stats) ?on_boundary t tc =
   let crash = ref None in
   let consumed = ref 0 in
   let rows0 = Executor.rows_scanned t.ctx - carry.rs_rows_scanned in
+  let firings0 =
+    Executor.trigger_firings t.ctx - carry.rs_trigger_firings
+  in
   let stats () =
     { rs_executed = !executed; rs_errors = !errors; rs_crash = !crash;
-      rs_cost = !cost; rs_rows_scanned = Executor.rows_scanned t.ctx - rows0 }
+      rs_cost = !cost; rs_rows_scanned = Executor.rows_scanned t.ctx - rows0;
+      rs_trigger_firings = Executor.trigger_firings t.ctx - firings0 }
   in
   (try
      List.iter
@@ -155,6 +160,7 @@ let run_testcase_from ?(carry = empty_stats) ?on_boundary t tc =
      count "engine.statements_executed" res.rs_executed;
      count "engine.sql_errors" res.rs_errors;
      count "engine.rows_scanned" res.rs_rows_scanned;
+     count "engine.trigger_firings" res.rs_trigger_firings;
      count "engine.crashes" (if res.rs_crash = None then 0 else 1));
   res
 

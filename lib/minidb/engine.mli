@@ -21,6 +21,7 @@ type run_stats = {
   rs_crash : Fault.crash option;  (** a bug fired; execution stopped *)
   rs_cost : int;            (** total AST size executed — a time proxy *)
   rs_rows_scanned : int;    (** rows fetched from relations *)
+  rs_trigger_firings : int; (** trigger bodies run, nested ones too *)
 }
 
 val create :
@@ -32,8 +33,8 @@ val create :
   t
 (** [metrics], when given, receives the engine's telemetry counters
     ([engine.statements_executed], [engine.sql_errors],
-    [engine.rows_scanned], [engine.crashes]) after each
-    {!run_testcase}. *)
+    [engine.rows_scanned], [engine.trigger_firings], [engine.crashes])
+    after each {!run_testcase}. *)
 
 val profile : t -> Profile.t
 

@@ -67,26 +67,29 @@ type ctx = {
   mutable shape_depth : int;  (* header/shape computation recursion *)
   mutable ctes : (string * cte_rel) list;
   mutable rows_scanned : int;  (* rows fetched from relations, telemetry *)
+  mutable trigger_firings : int;  (* trigger bodies run, telemetry *)
   mutable plan_mode : plan_mode;
       (* Plan_force_seq pins every base-table scan to Seq_scan — the
          differential-plan oracle's reference execution *)
+  mutable senv : Expr_eval.env option;  (* [scalar_env], built once *)
 }
 
 let create_ctx ~cat ~profile ~limits ~cov =
   { cat; profile; limits; cov; flags = Hashtbl.create 8; query_depth = 0;
     trigger_depth = 0; shape_depth = 0; ctes = []; rows_scanned = 0;
-    plan_mode = Plan_auto }
+    trigger_firings = 0; plan_mode = Plan_auto; senv = None }
 
 let set_plan_mode ctx mode = ctx.plan_mode <- mode
 
 (* Everything a statement boundary can observe. [flags], [ctes] and the
    recursion depths are per-statement transients — [reset_transient]
    clears them before each statement, and they are empty/zero at every
-   boundary — so only the catalog, the cumulative scan counter and the
+   boundary — so only the catalog, the cumulative counters and the
    plan mode need to survive a snapshot. *)
 type state = {
   st_cat : Catalog.t;
   st_rows_scanned : int;
+  st_trigger_firings : int;
   st_plan_mode : plan_mode;
   st_profile : Profile.t;
   st_limits : Limits.t;
@@ -95,6 +98,7 @@ type state = {
 let capture ctx =
   { st_cat = Catalog.deep_copy ctx.cat;
     st_rows_scanned = ctx.rows_scanned;
+    st_trigger_firings = ctx.trigger_firings;
     st_plan_mode = ctx.plan_mode;
     st_profile = ctx.profile;
     st_limits = ctx.limits }
@@ -113,11 +117,15 @@ let restore st ~cov =
     shape_depth = 0;
     ctes = [];
     rows_scanned = st.st_rows_scanned;
-    plan_mode = st.st_plan_mode }
+    trigger_firings = st.st_trigger_firings;
+    plan_mode = st.st_plan_mode;
+    senv = None }
 
 let state_bytes st = Catalog.approx_bytes st.st_cat
 
 let rows_scanned ctx = ctx.rows_scanned
+
+let trigger_firings ctx = ctx.trigger_firings
 
 let catalog ctx = ctx.cat
 
@@ -220,34 +228,24 @@ type binding = {
 
 type env_row = binding list
 
+let binding_col b name =
+  let rec loop i =
+    if i >= Array.length b.b_cols then None
+    else if String.equal b.b_cols.(i) name then Some b.b_vals.(i)
+    else loop (i + 1)
+  in
+  loop 0
+
 let resolve_col (row : env_row) q name =
-  match q with
-  | Some alias -> (
+  match (q, row) with
+  | Some alias, _ -> (
       match List.find_opt (fun b -> String.equal b.b_alias alias) row with
       | None -> None
-      | Some b ->
-        let rec loop i =
-          if i >= Array.length b.b_cols then None
-          else if String.equal b.b_cols.(i) name then Some b.b_vals.(i)
-          else loop (i + 1)
-        in
-        loop 0)
-  | None ->
-    let hits =
-      List.filter_map
-        (fun b ->
-           let rec loop i =
-             if i >= Array.length b.b_cols then None
-             else if String.equal b.b_cols.(i) name then Some b.b_vals.(i)
-             else loop (i + 1)
-           in
-           loop 0)
-        row
-    in
-    (match hits with
-     | [ v ] -> Some v
-     | [] -> None
-     | v :: _ -> Some v (* lax ambiguity resolution, MySQL-style *))
+      | Some b -> binding_col b name)
+  | None, [ b ] -> binding_col b name
+  | None, _ ->
+    (* an ambiguous name resolves to its first binding, MySQL-style *)
+    List.find_map (fun b -> binding_col b name) row
 
 let null_binding b =
   { b with b_vals = Array.map (fun _ -> Value.Null) b.b_vals }
@@ -293,19 +291,120 @@ let proj_exprs projs =
     projs
 
 (* ------------------------------------------------------------------ *)
+(* ORDER BY selection                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* One output row of a SELECT and its ORDER BY key values. *)
+type sel = { keys : Value.t array; out : Value.t array }
+
+let no_sel = { keys = [||]; out = [||] }
+
+(* ORDER BY over evaluated keys; [desc.(i)] reverses key [i]. *)
+let compare_sel desc a b =
+  let n = Array.length desc in
+  let rec loop i =
+    if i >= n then 0
+    else
+      let c = Value.compare_total a.keys.(i) b.keys.(i) in
+      if c = 0 then loop (i + 1) else if desc.(i) then -c else c
+  in
+  loop 0
+
+(* The first [k] elements of [a] stable-sorted by [cmp], in order, in
+   O(n log k): a max-heap keeps the [k] least seen so far under [cmp]
+   then position, so ties leave in arrival order as in a stable sort. *)
+let stable_smallest cmp k a =
+  let k = max 0 (min k (Array.length a)) in
+  let order i j =
+    let c = cmp a.(i) a.(j) in
+    if c = 0 then Int.compare i j else c
+  in
+  let heap = Array.init k Fun.id in
+  let swap i j =
+    let x = heap.(i) in
+    heap.(i) <- heap.(j);
+    heap.(j) <- x
+  in
+  let rec up i =
+    let p = (i - 1) / 2 in
+    if i > 0 && order heap.(p) heap.(i) < 0 then begin
+      swap p i;
+      up p
+    end
+  in
+  let rec down i =
+    let l = (2 * i) + 1 in
+    if l < k then begin
+      let c =
+        if l + 1 < k && order heap.(l) heap.(l + 1) < 0 then l + 1 else l
+      in
+      if order heap.(i) heap.(c) < 0 then begin
+        swap i c;
+        down c
+      end
+    end
+  in
+  for i = 1 to k - 1 do up i done;
+  for i = k to Array.length a - 1 do
+    if order i heap.(0) < 0 then begin
+      heap.(0) <- i;
+      down 0
+    end
+  done;
+  Array.sort order heap;
+  Array.map (fun i -> a.(i)) heap
+
+(* DISTINCT: the first of the rows equal under [compare_total] within a
+   [hash_value] bucket. *)
+let distinct_rows sel =
+  let seen = Hashtbl.create 16 in
+  let fresh { out; _ } =
+    let key =
+      Array.fold_left (fun acc v -> (acc * 31) + Value.hash_value v) 0 out
+    in
+    let dup =
+      List.exists
+        (fun other ->
+           Array.length other = Array.length out
+           && Array.for_all2 (fun a b -> Value.compare_total a b = 0) other out)
+        (Hashtbl.find_all seen key)
+    in
+    if not dup then Hashtbl.add seen key out;
+    not dup
+  in
+  Array.of_list (List.filter fresh (Array.to_list sel))
+
+let rec order_keys env keys i = function
+  | [] -> keys
+  | (e, _) :: rest ->
+    keys.(i) <- Expr_eval.eval env e;
+    order_keys env keys (i + 1) rest
+
+(* ------------------------------------------------------------------ *)
 (* Main recursive machinery                                            *)
 (* ------------------------------------------------------------------ *)
 
 let rec scalar_env ctx : Expr_eval.env =
-  { cols = (fun _ _ -> None);
-    run_query = (fun q -> run_query ctx q);
-    agg = Expr_eval.no_agg;
-    win = Expr_eval.no_win;
-    probe = (fun ~site ~key -> probe ctx site key) }
+  match ctx.senv with
+  | Some env -> env
+  | None ->
+    let env =
+      { Expr_eval.cols = (fun _ _ -> None);
+        run_query = (fun q -> run_query ctx q);
+        agg = Expr_eval.no_agg;
+        win = Expr_eval.no_win;
+        probe = (fun ~site ~key -> probe ctx site key) }
+    in
+    ctx.senv <- Some env;
+    env
 
 and row_env ctx (row : env_row) : Expr_eval.env =
-  { (scalar_env ctx) with
-    cols = (fun q name -> resolve_col row q name) }
+  { (scalar_env ctx) with cols = (fun q name -> resolve_col row q name) }
+
+(* One env for a pass that is done with each row before the next: its
+   columns resolve against whatever row [cur] holds. *)
+and cursor_env ctx (cur : env_row ref) : Expr_eval.env =
+  { (scalar_env ctx) with cols = (fun q name -> resolve_col !cur q name) }
 
 and eval_scalar ctx e = Expr_eval.eval (scalar_env ctx) e
 
@@ -418,15 +517,23 @@ and eval_from ctx ~where (f : from_item) : env_row list =
            in
            probe ctx s_access
              ((Planner.access_tag access * 8) lor state_shape ctx);
-           let rows =
+           let bind vals =
+             [ { b_alias = alias_name; b_cols = cols; b_vals = vals } ]
+           in
+           let seq_scan () =
+             let rows = ref [] in
+             Table.iter (fun _ vals -> rows := bind vals :: !rows) table;
+             (List.rev !rows, Table.row_count table)
+           in
+           let rows, n =
              match access with
              | Planner.Empty_short ->
                set_flag ctx "empty_scan";
-               []
+               ([], 0)
              | Planner.Index_eq (idx_name, key_expr) -> (
                  set_flag ctx "index_scan";
                  match Hashtbl.find_opt ctx.cat.Catalog.indexes idx_name with
-                 | None -> Table.to_rows table |> List.map snd
+                 | None -> seq_scan ()
                  | Some spec ->
                    let key = eval_scalar ctx key_expr in
                    let rowids = Index.find spec.x_data [ key ] in
@@ -437,15 +544,17 @@ and eval_from ctx ~where (f : from_item) : env_row list =
                      then match rowids with [] -> [] | _ :: tl -> tl
                      else rowids
                    in
-                   List.filter_map (Table.find_row table) rowids)
-             | Planner.Seq_scan -> Table.to_rows table |> List.map snd
+                   let rows =
+                     List.filter_map
+                       (fun id -> Option.map bind (Table.find_row table id))
+                       rowids
+                   in
+                   (rows, List.length rows))
+             | Planner.Seq_scan -> seq_scan ()
            in
-           ctx.rows_scanned <- ctx.rows_scanned + List.length rows;
-           probe ctx s_scan (bucket (List.length rows));
-           List.map
-             (fun vals ->
-                [ { b_alias = alias_name; b_cols = cols; b_vals = vals } ])
-             rows))
+           ctx.rows_scanned <- ctx.rows_scanned + n;
+           probe ctx s_scan (bucket n);
+           rows))
   | From_subquery { q; alias } ->
     let rows = run_query ctx q in
     let cols = Array.of_list (headers_of_query ctx q) in
@@ -464,13 +573,13 @@ and eval_from ctx ~where (f : from_item) : env_row list =
   | From_join { left; kind; right; on } ->
     let lrows = eval_from ctx ~where:None left in
     let rrows = eval_from ctx ~where:None right in
+    let nl = List.length lrows in
     let kind_tag =
       match kind with Inner -> 0 | Left -> 1 | Right -> 2 | Cross -> 3
     in
     probe ctx s_join
-      ((kind_tag * 16) lor (bucket (List.length lrows) * 2)
-       lor if rrows = [] then 1 else 0);
-    let total = List.length lrows * List.length rrows in
+      ((kind_tag * 16) lor (bucket nl * 2) lor if rrows = [] then 1 else 0);
+    let total = nl * List.length rrows in
     if total > ctx.limits.Limits.max_result_rows * 4 then
       Errors.fail (Errors.Limit_exceeded "join size");
     let on_ok combined =
@@ -638,30 +747,42 @@ and run_select ctx (s : select) : Value.t array list =
     | Some f -> eval_from ctx ~where:s.where f
   in
   (* WHERE *)
-  let rows =
+  let rows, n =
     match s.where with
-    | None -> base_rows
+    | None -> (base_rows, List.length base_rows)
     | Some w ->
+      let cur = ref [] in
+      let env = cursor_env ctx cur in
       let kept =
-        List.filter (fun row -> Expr_eval.eval_bool (row_env ctx row) w)
+        List.filter
+          (fun row ->
+             cur := row;
+             Expr_eval.eval_bool env w)
           base_rows
       in
+      let n = List.length kept in
       probe ctx s_where
-        ((bucket (List.length kept) * 4)
-         lor (if kept = [] && base_rows <> [] then 1 else 0)
-         lor if List.length kept = List.length base_rows then 2 else 0);
-      kept
+        ((bucket n * 4)
+         lor (if n = 0 && base_rows <> [] then 1 else 0)
+         lor if n = List.length base_rows then 2 else 0);
+      (kept, n)
   in
   let has_agg =
     List.exists expr_has_agg (proj_exprs s.projs)
     || (match s.having with Some h -> expr_has_agg h | None -> false)
   in
   let has_win = List.exists expr_has_win (proj_exprs s.projs) in
-  (* A (group-env, sort-env) list: each entry produces one output row. *)
-  let output_units =
+  (* Every output row's projection, then its ORDER BY keys, in row
+     order: both probe and can raise, so none is skipped. *)
+  let nkeys = List.length s.order_by in
+  let select env row =
+    let out = project ctx env row s.projs in
+    { keys = order_keys env (Array.make nkeys Value.Null) 0 s.order_by; out }
+  in
+  let sel =
     if s.group_by <> [] || has_agg then begin
       probe ctx s_group
-        ((bucket (List.length rows) * 4)
+        ((bucket n * 4)
          lor (if s.group_by = [] then 1 else 0)
          lor if s.having <> None then 2 else 0);
       let groups = group_rows ctx s.group_by rows in
@@ -678,116 +799,75 @@ and run_select ctx (s : select) : Value.t array list =
           probe ctx s_having (bucket (List.length kept));
           kept
       in
-      List.map (fun (rep, members) -> (group_env ctx rep members, rep)) groups
+      Array.of_list
+        (List.map
+           (fun (rep, members) -> select (group_env ctx rep members) rep)
+           groups)
     end
     else if has_win then begin
-      probe ctx s_window (bucket (List.length rows));
+      probe ctx s_window (bucket n);
       set_flag ctx "window_executed";
       let arr = Array.of_list rows in
       let memos = ref [] in
-      Array.to_list
-        (Array.mapi (fun i row -> (window_env ctx memos arr i row, row)) arr)
+      Array.mapi (fun i row -> select (window_env ctx memos arr i row) row) arr
     end
-    else List.map (fun row -> (row_env ctx row, row)) rows
-  in
-  (* projection + order keys *)
-  let projected =
-    List.map
-      (fun (env, row) ->
-         let out = project ctx env row s.projs in
-         let keys = List.map (fun (e, _) -> Expr_eval.eval env e) s.order_by in
-         (keys, out))
-      output_units
-  in
-  probe ctx s_proj (bucket (List.length projected));
-  (match projected with
-   | (_, first) :: _ -> probe ctx s_proj (64 + row_sig first)
-   | [] -> ());
-  (* DISTINCT *)
-  let projected =
-    if s.distinct then begin
-      probe ctx s_distinct (bucket (List.length projected));
-      let seen = Hashtbl.create 16 in
-      List.filter
-        (fun (_, out) ->
-           let key =
-             Array.fold_left
-               (fun acc v -> (acc * 31) + Value.hash_value v)
-               0 out
-           in
-           let candidates = Hashtbl.find_all seen key in
-           let dup =
-             List.exists
-               (fun other ->
-                  Array.length other = Array.length out
-                  && (let ok = ref true in
-                      Array.iteri
-                        (fun i v ->
-                           if Value.compare_total v out.(i) <> 0 then
-                             ok := false)
-                        other;
-                      !ok))
-               candidates
-           in
-           if dup then false
-           else begin
-             Hashtbl.add seen key out;
-             true
-           end)
-        projected
-    end
-    else projected
-  in
-  (* ORDER BY *)
-  let projected =
-    if s.order_by = [] then projected
     else begin
-      probe ctx s_sort
-        ((bucket (List.length projected) * 2)
-         lor if List.exists (fun (_, d) -> d = Desc) s.order_by then 1 else 0);
-      (match projected with
-       | (k1 :: _, _) :: _ ->
-         probe ctx s_sort
-           (64 + (vkind_of k1 * 8) + min 7 (List.length s.order_by))
-       | _ -> ());
-      let dirs = List.map snd s.order_by in
-      List.stable_sort
-        (fun (ka, _) (kb, _) ->
-           let rec cmp ks1 ks2 ds =
-             match (ks1, ks2, ds) with
-             | [], [], _ -> 0
-             | k1 :: t1, k2 :: t2, d :: td ->
-               let c = Value.compare_total k1 k2 in
-               let c = match d with Asc -> c | Desc -> -c in
-               if c <> 0 then c else cmp t1 t2 td
-             | _ -> 0
-           in
-           cmp ka kb dirs)
-        projected
+      let cur = ref [] in
+      let env = cursor_env ctx cur in
+      let sel = Array.make n no_sel in
+      List.iteri
+        (fun i row ->
+           cur := row;
+           sel.(i) <- select env row)
+        rows;
+      sel
     end
   in
-  let rows = List.map snd projected in
-  (* OFFSET / LIMIT *)
-  let rows =
+  let m = Array.length sel in
+  probe ctx s_proj (bucket m);
+  if m > 0 then probe ctx s_proj (64 + row_sig sel.(0).out);
+  (* DISTINCT *)
+  let sel =
+    if s.distinct then begin
+      probe ctx s_distinct (bucket m);
+      distinct_rows sel
+    end
+    else sel
+  in
+  let n = Array.length sel in
+  (* ORDER BY, OFFSET, LIMIT: the probes see the row counts before
+     LIMIT; only the rows LIMIT keeps are put in order. *)
+  let desc = Array.of_list (List.map (fun (_, d) -> d = Desc) s.order_by) in
+  if nkeys > 0 then begin
+    probe ctx s_sort
+      ((bucket n * 2) lor if Array.exists Fun.id desc then 1 else 0);
+    if n > 0 then
+      probe ctx s_sort (64 + (vkind_of sel.(0).keys.(0) * 8) + min 7 nkeys)
+  end;
+  let off =
     match s.offset with
-    | None -> rows
+    | None -> 0
     | Some off ->
       probe ctx s_limit 8;
-      let rec drop n l =
-        if n <= 0 then l else match l with [] -> [] | _ :: t -> drop (n - 1) t
-      in
-      drop off rows
+      max 0 off
   in
-  match s.limit with
-  | None -> rows
-  | Some lim ->
-    probe ctx s_limit
-      (if List.length rows > lim then 1 else 2);
-    let rec take n l =
-      if n <= 0 then []
-      else match l with [] -> [] | h :: t -> h :: take (n - 1) t
-    in
-    take (max 0 lim) rows
+  let rest = max 0 (n - off) in
+  let len =
+    match s.limit with
+    | None -> rest
+    | Some lim ->
+      probe ctx s_limit (if rest > lim then 1 else 2);
+      min rest (max 0 lim)
+  in
+  let ordered =
+    if len = 0 || nkeys = 0 then sel
+    else if s.limit = None then begin
+      Array.stable_sort (compare_sel desc) sel;
+      sel
+    end
+    else stable_smallest (compare_sel desc) (off + len) sel
+  in
+  List.init len (fun i -> ordered.(off + i).out)
 
 and group_rows ctx group_by rows : (env_row * env_row list) list =
   if group_by = [] then
@@ -823,8 +903,8 @@ and group_rows ctx group_by rows : (env_row * env_row list) list =
   end
 
 and group_env ctx rep members : Expr_eval.env =
-  let base = row_env ctx rep in
-  { base with
+  { (scalar_env ctx) with
+    cols = (fun q name -> resolve_col rep q name);
     agg =
       (fun fn distinct arg ->
          compute_agg ctx fn distinct arg members) }
@@ -921,8 +1001,8 @@ and compute_agg ctx fn distinct arg members =
         (String.concat "," (List.map Value.to_display non_null))
 
 and window_env ctx memos all_rows cur_idx row : Expr_eval.env =
-  let base = row_env ctx row in
-  { base with
+  { (scalar_env ctx) with
+    cols = (fun q name -> resolve_col row q name);
     win =
       (fun fn args over ->
          let w =
@@ -958,23 +1038,26 @@ and compute_window ctx w cur_idx fn args over =
   Window.value w place ~scalar:(scalar_env ctx) fn args
 
 and project ctx (env : Expr_eval.env) (row : env_row) projs : Value.t array =
-  let out = ref [] in
-  List.iter
-    (fun p ->
-       match p with
-       | Star ->
-         List.iter
-           (fun b -> Array.iter (fun v -> out := v :: !out) b.b_vals)
-           row
-       | Star_of t -> (
-           match List.find_opt (fun b -> String.equal b.b_alias t) row with
-           | Some b -> Array.iter (fun v -> out := v :: !out) b.b_vals
-           | None ->
-             probe ctx s_err 7;
-             Errors.fail (Errors.No_such_table t))
-       | Proj (e, _) -> out := Expr_eval.eval env e :: !out)
-    projs;
-  Array.of_list (List.rev !out)
+  match (projs, row) with
+  | [ Star ], [ b ] -> Array.copy b.b_vals
+  | _ ->
+    let out = ref [] in
+    List.iter
+      (fun p ->
+         match p with
+         | Star ->
+           List.iter
+             (fun b -> Array.iter (fun v -> out := v :: !out) b.b_vals)
+             row
+         | Star_of t -> (
+             match List.find_opt (fun b -> String.equal b.b_alias t) row with
+             | Some b -> Array.iter (fun v -> out := v :: !out) b.b_vals
+             | None ->
+               probe ctx s_err 7;
+               Errors.fail (Errors.No_such_table t))
+         | Proj (e, _) -> out := Expr_eval.eval env e :: !out)
+      projs;
+    Array.of_list (List.rev !out)
 
 (* ------------------------------------------------------------------ *)
 (* Statement execution                                                 *)
@@ -2007,6 +2090,7 @@ and fire_triggers ctx table_name event ~timing =
                 ((match timing with Before -> 0 | After -> 8)
                  lor (ctx.trigger_depth land 7));
               set_flag ctx "trigger_fired";
+              ctx.trigger_firings <- ctx.trigger_firings + 1;
               List.iter (fun s -> ignore (exec ctx s)) t.tr_body)
            trs
        with e ->

@@ -77,6 +77,11 @@ val rows_scanned : ctx -> int
     subquery materialisations) over the context's lifetime — the
     engine's rows-scanned telemetry. *)
 
+val trigger_firings : ctx -> int
+(** Cumulative trigger bodies run (one per trigger per firing event,
+    at any nesting depth) over the context's lifetime — the engine's
+    trigger-firings telemetry. *)
+
 val set_flag : ctx -> string -> unit
 (** Record a named per-statement event (consulted by fault triggers). *)
 

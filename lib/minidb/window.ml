@@ -49,6 +49,9 @@ type part = {
   p_dense : int array;
   p_err : exn option;     (* the sort stopped on this key error *)
   p_bag : (int * int) list;  (* charges the sort made *)
+  p_runs : (int array * int array array) option;
+      (* memoised keys: the ORDER BY key classes in order of first
+         sorted position, and each class's sorted positions *)
 }
 
 type t = {
@@ -123,6 +126,36 @@ let flush t =
          t.tally.traces.(c))
     (take t.tally)
 
+let class_runs t members sorted =
+  if t.live then None
+  else begin
+    let at = Hashtbl.create 8 and first = ref [] in
+    Array.iteri
+      (fun p m ->
+         let c = t.okeys.(members.(m)).k_cls in
+         match Hashtbl.find_opt at c with
+         | Some ps -> ps := p :: !ps
+         | None ->
+           Hashtbl.add at c (ref [ p ]);
+           first := c :: !first)
+      sorted;
+    let classes = Array.of_list (List.rev !first) in
+    Some
+      ( classes,
+        Array.map (fun c -> Array.of_list (List.rev !(Hashtbl.find at c)))
+          classes )
+  end
+
+(* How many of the ascending positions [ps] lie below [p]. *)
+let count_below ps p =
+  let rec go lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if ps.(mid) < p then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length ps)
+
 (* Sort one partition, counting its key uses, and rank it in one pass. *)
 let sort_part t members =
   let m = Array.length members in
@@ -160,7 +193,8 @@ let sort_part t members =
     dense.(i) <- distinct.(rank.(i) - 1) + 1
   done;
   { p_members = members; p_sorted = sorted; p_pos = pos; p_rank = rank;
-    p_dense = dense; p_err = err; p_bag = bag }
+    p_dense = dense; p_err = err; p_bag = bag;
+    p_runs = class_runs t members sorted }
 
 let create ~cov ~env ~rows over =
   let order_by = List.map fst over.w_order_by in
@@ -270,17 +304,34 @@ let place t cur fn =
     Option.iter raise part.p_err;
     let pos = Hashtbl.find part.p_pos cur in
     (* The per-row algorithm ranked by comparing the row with each row
-       sorted before it, and Dense_rank re-read the keys below its own. *)
-    (match fn with
-     | Rank | Dense_rank ->
-       let tie = part.p_rank.(pos) - 1 in
+       sorted before it, and Dense_rank re-read the keys below its own.
+       Memoised keys are charged in bulk: the row's own class once per
+       earlier row, then each class met before [pos] in order of its
+       first sorted position. The sort used every key of a partition of
+       two or more rows, so none of them raises here. *)
+    let tie = part.p_rank.(pos) - 1 in
+    (match (fn, part.p_runs) with
+     | (Rank | Dense_rank), Some (classes, at) ->
+       if pos > 0 then begin
+         charge t.tally t.okeys.(cur).k_cls pos;
+         let rec go j =
+           if j < Array.length classes && at.(j).(0) < pos then begin
+             charge t.tally classes.(j)
+               (count_below at.(j) pos
+                + if fn = Dense_rank then count_below at.(j) tie else 0);
+             go (j + 1)
+           end
+         in
+         go 0
+       end
+     | (Rank | Dense_rank), None ->
        for i = 0 to pos - 1 do
          let x = part.p_members.(part.p_sorted.(i)) in
          ignore (use t `Order cur);
          ignore (use t `Order x);
          if fn = Dense_rank && i < tie then ignore (use t `Order x)
        done
-     | Row_number | Lead | Lag | Ntile -> ());
+     | (Row_number | Lead | Lag | Ntile), _ -> ());
     { part; pos }
   in
   match run () with

@@ -45,18 +45,24 @@ let rank = function
   | Int _ | Float _ -> 2
   | Text _ -> 3
 
+(* Ints within ±2^53 convert to floats exactly, so comparing them as
+   ints orders them as the float comparison does. *)
+let exact n = n >= -0x20_0000_0000_0000 && n <= 0x20_0000_0000_0000
+
+(* Numbers compare as floats ([Float.compare]: [nan] equals [nan],
+   [-0.0] equals [0.0]); no arm allocates. *)
 let compare_total a b =
-  let ra = rank a and rb = rank b in
-  if ra <> rb then Int.compare ra rb
-  else
-    match (a, b) with
-    | Null, Null -> 0
-    | Bool x, Bool y -> Bool.compare x y
-    | Text x, Text y -> String.compare x y
-    | _ -> (
-        match (num_of a, num_of b) with
-        | Some x, Some y -> Float.compare x y
-        | _ -> 0)
+  match (a, b) with
+  | Int x, Int y ->
+    if exact x && exact y then Int.compare x y
+    else Float.compare (float_of_int x) (float_of_int y)
+  | Float x, Float y -> Float.compare x y
+  | Int x, Float y -> Float.compare (float_of_int x) y
+  | Float x, Int y -> Float.compare x (float_of_int y)
+  | Null, Null -> 0
+  | Bool x, Bool y -> Bool.compare x y
+  | Text x, Text y -> String.compare x y
+  | _ -> Int.compare (rank a) (rank b)
 
 let is_truthy = function
   | Null -> false

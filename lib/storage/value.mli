@@ -19,7 +19,9 @@ val compare_sql : t -> t -> int option
 
 val compare_total : t -> t -> int
 (** Total order used by ORDER BY, DISTINCT, GROUP BY and indexes:
-    NULL < BOOL < numbers < TEXT. *)
+    NULL < BOOL < numbers < TEXT. Numbers compare by their float
+    values under [Float.compare] ([nan] = [nan], [-0.0] = [0.0]);
+    allocates nothing. *)
 
 val is_truthy : t -> bool
 (** WHERE-clause truth: NULL and FALSE and 0 and "" are false. *)

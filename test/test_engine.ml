@@ -226,6 +226,57 @@ let test_stall_indexed_cascade () =
     (int_rows (fst (exec_timed eng "SELECT COUNT(*) FROM t8 WHERE c1 = 6;")));
   Alcotest.(check bool) (Printf.sprintf "%.3f s < 0.1 s" secs) true (secs < 0.1)
 
+let test_stall_self_select_cascade () =
+  (* A BEFORE INSERT trigger that re-inserts the nine lowest rows of its
+     own table, nesting four levels deep until the table hits its
+     2048-row cap; each firing selects from up to 2048 rows. Counts,
+     checksum and coverage are the pre-single-pass engine's. The cascade
+     costs ~0.05 s on a 2-vCPU container (0.1–0.16 s with a full sort
+     per firing); the time bound only catches a return to quadratic
+     work. *)
+  let cov = Coverage.Bitmap.create () in
+  let metrics = Telemetry.Registry.create () in
+  let eng = E.create ~profile:(profile_with_bugs []) ~metrics ~cov () in
+  let t0 = Sys.time () in
+  let stats =
+    E.run_testcase eng
+      (parse
+         "CREATE TABLE t9 (c1 INT, c2 INT);\n\
+          CREATE TRIGGER tr9 BEFORE INSERT ON t9 FOR EACH ROW INSERT INTO \
+          t9 SELECT * FROM t9 ORDER BY c2 ASC LIMIT 9;\n\
+          INSERT INTO t9 VALUES (2, -273), (301, 292), (-172, -61);\n\
+          SELECT COUNT(*) FROM t9;\n\
+          SELECT SUM(c1), SUM(c2), SUM(c1 * c2) FROM t9;")
+  in
+  let secs = Sys.time () -. t0 in
+  Alcotest.(check int) "statements" 5 stats.E.rs_executed;
+  Alcotest.(check int) "the insert hits the row cap" 1 stats.E.rs_errors;
+  Alcotest.(check int) "rows scanned" 236_552 stats.E.rs_rows_scanned;
+  Alcotest.(check int) "trigger firings" 235 stats.E.rs_trigger_firings;
+  Alcotest.(check int) "trigger firings counter" 235
+    (Telemetry.Registry.counter_value metrics "engine.trigger_firings");
+  let report =
+    Telemetry.Report.render
+      [ Telemetry.Event.Registry_dump
+          { series = "engine"; registry = metrics } ]
+  in
+  Alcotest.(check bool) "report shows trigger firings" true
+    (List.exists
+       (fun line ->
+          String.split_on_char ' ' line
+          |> List.filter (( <> ) "")
+          = [ "engine.trigger_firings"; "235" ])
+       (String.split_on_char '\n' report));
+  Alcotest.(check int64) "coverage" (-5802730405255438500L)
+    (Coverage.Bitmap.hash cov);
+  Alcotest.(check (list (array int))) "count and checksum"
+    [ [| 2048; 5292; -556844; -764456 |] ]
+    (int_rows
+       (fst
+          (exec_timed eng
+             "SELECT COUNT(*), SUM(c1), SUM(c2), SUM(c1 * c2) FROM t9;")));
+  Alcotest.(check bool) (Printf.sprintf "%.3f s < 2 s" secs) true (secs < 2.0)
+
 let suite =
   [ ("run_testcase counts", `Quick, test_run_testcase_counts);
     ("window updates on errors", `Quick, test_window_updates_on_errors);
@@ -238,4 +289,6 @@ let suite =
     ("notify queue payload", `Quick, test_notify_queue_payload);
     ("fault window contiguity", `Quick, test_fault_window_spans_statements);
     ("stall: window over a partition", `Quick, test_stall_window_partition);
-    ("stall: indexed trigger cascade", `Quick, test_stall_indexed_cascade) ]
+    ("stall: indexed trigger cascade", `Quick, test_stall_indexed_cascade);
+    ("stall: self-selecting trigger cascade", `Quick,
+     test_stall_self_select_cascade) ]
