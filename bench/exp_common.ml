@@ -79,15 +79,6 @@ let feedback =
       | None -> Fuzz.Harness.Edges)
   | None -> Fuzz.Harness.Edges
 
-(* REPRO_COW=off reverts engine snapshots to the pre-refactor physical
-   deep copies for the whole bench run (DESIGN.md §13); the default is
-   the O(1) persistent-map copy. The cow-ablation bench toggles this
-   per campaign regardless of the global setting. *)
-let cow =
-  match Sys.getenv_opt "REPRO_COW" with
-  | Some ("off" | "0" | "deep") -> false
-  | _ -> true
-
 (* REPRO_SESSIONS / REPRO_SCHEDULES scale the interleaving-schedule
    ablation: the widest session-pool width measured, and how many
    schedules each width synthesizes and executes. *)
@@ -100,8 +91,6 @@ let schedules =
   match Sys.getenv_opt "REPRO_SCHEDULES" with
   | Some s -> (try max 1 (int_of_string s) with Failure _ -> 128)
   | None -> 128
-
-let () = Minidb.Catalog.set_copy_on_write cow
 
 (* One shard's execution harness, when any harness-level feature
    (oracles, exec cache, grammar feedback) is enabled; [None] lets the

@@ -447,7 +447,8 @@ let exchange_ablation () =
    LEGO seed whose statements accumulate state. Campaign-level speedup
    depends on how much of a campaign's execution cost sits in shared
    prefixes; the cache/jobs1 rows report that honestly. *)
-let cache_prefix_bench ?(metric_prefix = "cache/prefix_batch") () =
+let cache_prefix_bench () =
+  let metric_prefix = "cache/prefix_batch" in
   let profile = Dialects.Registry.pg_sim in
   let buf = Buffer.create 8192 in
   Buffer.add_string buf
@@ -551,91 +552,6 @@ let cache_ablation () =
       [ ("on", on); ("off", off) ]
   in
   campaign_rows @ cache_prefix_bench ()
-
-(* REPRO_COW ablation: identical campaign with engine snapshots taken as
-   O(1) persistent-map handle copies (cow, the default since DESIGN.md
-   §13) versus the pre-refactor physical deep copies (deep). Snapshots
-   are taken by the prefix-snapshot exec cache, so the campaign runs
-   with the cache on; outcomes must be byte-identical either way — the
-   toggle changes representation, never semantics. The shared-prefix
-   batch is re-run under deep-copy mode so the two snapshot regimes can
-   be compared at the harness level too. *)
-let cow_ablation () =
-  section
-    (Printf.sprintf
-       "Copy-on-write ablation -- LEGO on PostgreSQL, persistent vs \
-        deep-copy snapshots (%d-exec budget)"
-       budget);
-  let profile = Dialects.Registry.pg_sim in
-  let with_cow enabled f =
-    Minidb.Catalog.set_copy_on_write enabled;
-    Fun.protect
-      ~finally:(fun () -> Minidb.Catalog.set_copy_on_write Exp_common.cow)
-      f
-  in
-  let run_mode ~label cow =
-    (* equalize GC state: earlier bench stages leave the major heap in
-       whatever shape they ended in, and these campaigns are short
-       enough for that to dominate the wall-clock comparison *)
-    Gc.compact ();
-    with_cow cow (fun () ->
-        run_campaign ~jobs:1
-          ~series_prefix:(Printf.sprintf "cow-%s/" label) profile
-          (make_lego ~exec_cache:1024 profile))
-  in
-  let cow = run_mode ~label:"cow" true in
-  let deep = run_mode ~label:"deep" false in
-  if cow.c_final <> deep.c_final then
-    print_endline
-      "WARNING: cow/deep campaign outcomes differ -- determinism bug!"
-  else
-    print_endline "outcome check: cow/deep campaigns byte-identical";
-  let cache_bytes c =
-    Telemetry.Registry.gauge_value c.c_metrics "cache.bytes"
-  in
-  let widths = [ 8; 10; 10; 12; 12 ] in
-  print_row widths
-    [ "Snapshot"; "branches"; "wall"; "execs/s"; "cache KiB" ];
-  List.iter
-    (fun (label, c) ->
-       print_row widths
-         [ label;
-           string_of_int c.c_final.Fuzz.Driver.st_branches;
-           Printf.sprintf "%.2fs" c.c_wall_s;
-           Printf.sprintf "%.0f" (execs_per_sec c);
-           Printf.sprintf "%.0f" (float_of_int (cache_bytes c) /. 1024.) ])
-    [ ("cow", cow); ("deep", deep) ];
-  Printf.printf
-    "Copy-on-write speedup: %.2fx execs/s at equal budget and outcomes; \
-     peak cached snapshot bytes %.1fx smaller under structural sharing\n"
-    (if execs_per_sec deep > 0. then execs_per_sec cow /. execs_per_sec deep
-     else 0.)
-    (if cache_bytes cow > 0 then
-       float_of_int (cache_bytes deep) /. float_of_int (cache_bytes cow)
-     else 0.);
-  let campaign_rows =
-    List.concat_map
-      (fun (label, c) ->
-         [ (Printf.sprintf "cow/jobs1/%s/branches" label,
-            float_of_int c.c_final.Fuzz.Driver.st_branches, "branches");
-           (Printf.sprintf "cow/jobs1/%s/wall" label, c.c_wall_s, "s");
-           (Printf.sprintf "cow/jobs1/%s/execs_per_sec" label,
-            execs_per_sec c, "execs/s");
-           (Printf.sprintf "cow/jobs1/%s/cache_bytes" label,
-            float_of_int (cache_bytes c), "bytes") ])
-      [ ("cow", cow); ("deep", deep) ]
-  in
-  let speedup =
-    if execs_per_sec deep > 0. then execs_per_sec cow /. execs_per_sec deep
-    else 0.
-  in
-  let batch_rows =
-    with_cow false (fun () ->
-        cache_prefix_bench ~metric_prefix:"cow/prefix_batch/deep" ())
-  in
-  campaign_rows
-  @ [ ("cow/jobs1/speedup", speedup, "ratio") ]
-  @ batch_rows
 
 (* REPRO_FEEDBACK ablation: identical LEGO campaign under edge-bitmap
    feedback (the paper's signal, the default) versus combined
@@ -937,8 +853,8 @@ let sessions_ablation () =
           float_of_int r.Fuzz.Schedule.sr_replay_mismatch, "schedules") ])
     results
 
-(* REPRO_WORKERS ablation: the multi-process farm backend (DESIGN.md
-   §17) against the in-process scheduler at equal farm budget — worker
+(* REPRO_WORKERS ablation: the farm's process transport (DESIGN.md
+   §16) against the in-process transport at equal farm budget — worker
    pools of 1, 2 and 4 OS processes versus the 4-domain in-process
    farm. On a single-CPU container the honest result is ~1x; the row
    exists to price the process transport + store round-trips so a
@@ -1137,7 +1053,6 @@ let () =
   squirrel_plus_ablation ();
   let exchange_metrics = exchange_ablation () in
   let cache_metrics = cache_ablation () in
-  let cow_metrics = cow_ablation () in
   let feedback_metrics = feedback_ablation () in
   let sessions_metrics = sessions_ablation () in
   let farm_metrics = farm_ablation () in
@@ -1146,7 +1061,7 @@ let () =
   print_newline ();
   write_bench_json
     ~extra_metrics:
-      (exchange_metrics @ cache_metrics @ cow_metrics @ feedback_metrics
+      (exchange_metrics @ cache_metrics @ feedback_metrics
        @ sessions_metrics @ farm_metrics @ workers_metrics)
     campaigns;
   (match Lazy.force Exp_common.bench_sink with

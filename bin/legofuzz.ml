@@ -148,16 +148,6 @@ let feedback_arg =
     & opt feedback_conv Fuzz.Harness.Edges
     & info [ "feedback" ] ~docv:"edges|grammar|both" ~doc)
 
-let cow_arg =
-  let doc =
-    "Copy-on-write engine snapshots: $(b,on) takes snapshots as O(1) \
-     persistent-map handle copies, $(b,off) reverts to physical deep \
-     copies (the pre-refactor representation, kept as an ablation). \
-     Outcomes are identical either way; only wall-clock and snapshot \
-     memory accounting change."
-  in
-  Arg.(value & opt onoff true & info [ "cow" ] ~docv:"on|off" ~doc)
-
 let sessions_arg =
   let doc =
     "Concurrent sessions for the interleaving-schedule phase: after the \
@@ -295,9 +285,8 @@ let fuzz_cmd =
       value & opt (some string) None & info [ "store" ] ~docv:"CAMPAIGN" ~doc)
   in
   let run fuzzer profile execs seed jobs sync_every sync_seeds
-      sync_affinities oracles exec_cache feedback cow sessions schedules
+      sync_affinities oracles exec_cache feedback sessions schedules
       telemetry json save store =
-    Minidb.Catalog.set_copy_on_write cow;
     (match store with
      | Some id when not (Farm.Spec.valid_id id) ->
        Printf.eprintf
@@ -486,7 +475,7 @@ let fuzz_cmd =
   let term =
     Term.(const run $ fuzzer_arg $ dialect_arg $ execs_arg $ seed_arg
           $ jobs_arg $ sync_arg $ sync_seeds_arg $ sync_affinities_arg
-          $ oracles_arg $ exec_cache_arg $ feedback_arg $ cow_arg
+          $ oracles_arg $ exec_cache_arg $ feedback_arg
           $ sessions_arg $ schedules_arg $ telemetry_arg $ json_arg
           $ save_arg $ store_arg)
   in
@@ -567,8 +556,7 @@ let resume_cmd =
     in
     Arg.(value & opt (some int) None & info [ "n"; "execs" ] ~docv:"N" ~doc)
   in
-  let run id execs jobs sync_every cow telemetry json =
-    Minidb.Catalog.set_copy_on_write cow;
+  let run id execs jobs sync_every telemetry json =
     let jobs = max 1 jobs in
     let dir = Farm.Store.store_dir id in
     let run_dir = Filename.concat (Telemetry.Sink.runs_dir ()) id in
@@ -620,7 +608,7 @@ let resume_cmd =
       | _ -> ()
   in
   let term =
-    Term.(const run $ id_arg $ execs_opt_arg $ jobs_arg $ sync_arg $ cow_arg
+    Term.(const run $ id_arg $ execs_opt_arg $ jobs_arg $ sync_arg
           $ telemetry_arg $ json_arg)
   in
   Cmd.v
@@ -651,12 +639,11 @@ let worker_cmd =
     let doc = "Executions between mid-round heartbeats." in
     Arg.(value & opt int 500 & info [ "heartbeat-execs" ] ~docv:"N" ~doc)
   in
-  let run worker runs_dir heartbeat_execs cow =
-    Minidb.Catalog.set_copy_on_write cow;
+  let run worker runs_dir heartbeat_execs =
     Farm.Worker.serve ?runs_dir ~heartbeat_execs ~worker stdin stdout
   in
   let term =
-    Term.(const run $ id_arg $ runs_dir_arg $ hb_arg $ cow_arg)
+    Term.(const run $ id_arg $ runs_dir_arg $ hb_arg)
   in
   Cmd.v
     (Cmd.info "worker"
@@ -695,8 +682,7 @@ let farm_cmd =
     in
     Arg.(value & opt float 30. & info [ "heartbeat-timeout" ] ~docv:"S" ~doc)
   in
-  let run spec_path workers heartbeat_timeout cow telemetry json =
-    Minidb.Catalog.set_copy_on_write cow;
+  let run spec_path workers heartbeat_timeout telemetry json =
     match Farm.Spec.of_file spec_path with
     | Error e ->
       Printf.eprintf "%s: %s\n" spec_path e;
@@ -719,8 +705,7 @@ let farm_cmd =
         if workers > 0 then
           let worker_argv k =
             [| Sys.executable_name; "worker"; "--worker-id";
-               string_of_int k; "--runs-dir"; Telemetry.Sink.runs_dir ();
-               "--cow"; (if cow then "on" else "off") |]
+               string_of_int k; "--runs-dir"; Telemetry.Sink.runs_dir () |]
           in
           Farm.Scheduler.run_processes ~sink ~worker_cmd:worker_argv
             ~heartbeat_timeout ~workers spec
@@ -764,7 +749,7 @@ let farm_cmd =
          | _ -> ())
   in
   let term =
-    Term.(const run $ spec_arg $ workers_arg $ hb_timeout_arg $ cow_arg
+    Term.(const run $ spec_arg $ workers_arg $ hb_timeout_arg
           $ telemetry_arg $ json_arg)
   in
   Cmd.v

@@ -1,4 +1,4 @@
-(* Advisory file locks for store coordination (DESIGN.md §17).
+(* Advisory file locks for store coordination (DESIGN.md §16).
 
    POSIX record locks (Unix.lockf) have two sharp edges this module
    files down. First, locks are per-process: F_TEST reports a file as

@@ -1,5 +1,5 @@
 (** Advisory file locks for multi-process store coordination
-    (DESIGN.md §17).
+    (DESIGN.md §16).
 
     Thin, safe wrapper over [Unix.lockf] whole-file record locks.
     Workers take {e shared} locks as read-marks on the store generation

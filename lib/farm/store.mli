@@ -75,7 +75,7 @@ val generations : dir:string -> int list
     ([gen-NNNNNN.wK]) are {e not} listed — they become visible to
     loaders only through {!promote}. *)
 
-(** {2 Worker generation namespaces (DESIGN.md §17)}
+(** {2 Worker generation namespaces (DESIGN.md §16)}
 
     A farm worker process persists its round as [gen-NNNNNN.wK] (K =
     worker slot), a complete generation — sections, manifest, digests —

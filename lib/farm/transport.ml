@@ -1,5 +1,5 @@
 (* The farm control protocol: line-framed JSON over worker stdin/stdout
-   (DESIGN.md §17). One value per line, canonical Telemetry.Json
+   (DESIGN.md §16). One value per line, canonical Telemetry.Json
    rendering, so the same codec the telemetry sinks use frames the
    control plane — and a malformed line is an ordinary parse error the
    coordinator can quarantine on, never a crash. *)

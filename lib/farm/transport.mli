@@ -1,4 +1,4 @@
-(** The farm worker control protocol (DESIGN.md §17).
+(** The farm worker control protocol (DESIGN.md §16).
 
     Line-framed JSON over a worker's stdin/stdout: the coordinator
     writes one {!command} per line to the worker's stdin; the worker

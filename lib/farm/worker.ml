@@ -1,12 +1,21 @@
-(* The farm worker process body (DESIGN.md §17). One worker serves
-   rounds for any campaign the coordinator deals it: load the
-   campaign's newest good store generation, run the allocated execs,
-   persist the result into the worker's generation namespace
-   (gen-NNNNNN.wK — invisible until the coordinator promotes it), and
-   report over the line protocol. Between rounds the worker keeps each
-   campaign's fuzzer alive; a manifest-digest probe decides whether the
-   store moved under it (another worker promoted news) and only then
-   pays for a full reload. *)
+(* The farm worker loop (DESIGN.md §16). One worker serves rounds for
+   any campaign the coordinator deals it: load the campaign's newest
+   good store generation, run the allocated execs, persist the result
+   into the worker's generation namespace (gen-NNNNNN.wK — invisible
+   until the coordinator promotes it), and report. Between rounds the
+   worker keeps each campaign's fuzzer alive; a manifest-digest probe
+   decides whether the store moved under it (another worker promoted
+   news) and only then pays for a full reload. A worker process serves
+   over the line protocol; the in-process farm shares one worker across
+   a domain pool, so the campaign table is mutex-guarded (each campaign
+   runs on at most one domain at a time, so its state needs no lock). *)
+
+let coverage_keys (fz : Fuzz.Driver.fuzzer) =
+  let h = fz.Fuzz.Driver.f_harness in
+  Fuzz.Harness.branches h
+  + (match Fuzz.Harness.grammar_virgin h with
+     | Some g -> Coverage.Bitmap.count_nonzero g
+     | None -> 0)
 
 type wstate = {
   ws_campaign : Store.campaign;
@@ -28,6 +37,7 @@ type t = {
   t_heartbeat_execs : int;
   t_heartbeat : execs:int -> unit;
   t_states : (string, wstate) Hashtbl.t;
+  t_mu : Mutex.t;  (* guards t_states *)
 }
 
 let default_heartbeat_execs = 500
@@ -36,9 +46,18 @@ let create ?runs_dir ?(heartbeat_execs = default_heartbeat_execs)
     ?(heartbeat = fun ~execs:_ -> ()) ~worker () =
   { t_worker = worker; t_runs_dir = runs_dir;
     t_heartbeat_execs = max 1 heartbeat_execs; t_heartbeat = heartbeat;
-    t_states = Hashtbl.create 4 }
+    t_states = Hashtbl.create 4; t_mu = Mutex.create () }
 
-let empty_compact = lazy (Coverage.Bitmap.compact_of_cells [])
+(* Eager, not lazy: domains of the in-process farm would race to force
+   it. *)
+let empty_compact = Coverage.Bitmap.compact_of_cells []
+
+let harness_metrics t =
+  Mutex.protect t.t_mu (fun () ->
+      Hashtbl.fold (fun id ws acc -> (id, ws) :: acc) t.t_states [])
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.map (fun (_, ws) ->
+      Fuzz.Harness.metrics ws.ws_fuzzer.Fuzz.Driver.f_harness)
 
 let error_report ~campaign ~execs ~round e =
   { Transport.rr_campaign = campaign; rr_round = round; rr_allocated = execs;
@@ -64,9 +83,10 @@ let load_state t ~dir campaign =
          (String.concat "; " warns))
   | Ok (sn, gen, _warns) ->
     (* A store the coordinator just seeded (no execs, epoch 0) is a
-       fresh campaign: epoch 0 keeps the worker byte-identical to the
-       in-process farm. Anything with history resumes on a new epoch
-       stream so it never replays the interrupted epoch's decisions. *)
+       fresh campaign: epoch 0 runs on the campaign seed itself, as
+       [legofuzz fuzz] would. Anything with history resumes on a new
+       epoch stream so it never replays the interrupted epoch's
+       decisions. *)
     let fresh =
       sn.Store.sn_progress.pr_execs_done = 0 && sn.Store.sn_progress.pr_epoch = 0
     in
@@ -82,20 +102,23 @@ let load_state t ~dir campaign =
        let ws =
          { ws_campaign = c; ws_fuzzer = fz; ws_acc = Store.acc_of_snapshot sn;
            ws_prior_execs = sn.Store.sn_progress.pr_execs_done;
-           ws_epoch = epoch; ws_keys = Scheduler.coverage_keys fz;
+           ws_epoch = epoch; ws_keys = coverage_keys fz;
            ws_digests =
              Option.value ~default:[]
                (Store.manifest_digests (Store.generation_dir ~dir gen));
            ws_error = None }
        in
-       Hashtbl.replace t.t_states campaign ws;
+       Mutex.protect t.t_mu (fun () -> Hashtbl.replace t.t_states campaign ws);
        Ok ws)
 
 let run_round t ~campaign ~execs ~round =
   let dir = Store.store_dir ?runs_dir:t.t_runs_dir campaign in
   let reloads = ref 0 and skipped = ref 0 in
   let state_r =
-    match Hashtbl.find_opt t.t_states campaign, newest_digests ~dir with
+    match
+      ( Mutex.protect t.t_mu (fun () -> Hashtbl.find_opt t.t_states campaign),
+        newest_digests ~dir )
+    with
     | Some ws, Some digests
       when ws.ws_error = None && digests = ws.ws_digests ->
       (* The store still is what this live fuzzer descends from: skip
@@ -124,7 +147,7 @@ let run_round t ~campaign ~execs ~round =
      with
      | Fuzz.Driver.Stalled msg -> ws.ws_error <- Some ("stalled: " ^ msg)
      | exn -> ws.ws_error <- Some (Printexc.to_string exn));
-    ws.ws_keys <- Scheduler.coverage_keys ws.ws_fuzzer;
+    ws.ws_keys <- coverage_keys ws.ws_fuzzer;
     let executed = Fuzz.Harness.execs h - before in
     let execs_done = ws.ws_prior_execs + Fuzz.Harness.execs h in
     (match ws.ws_fuzzer.Fuzz.Driver.f_exchange with
@@ -138,7 +161,7 @@ let run_round t ~campaign ~execs ~round =
         ~grammar:
           (match Fuzz.Harness.grammar_virgin h with
            | Some g -> Coverage.Bitmap.compact g
-           | None -> Lazy.force empty_compact)
+           | None -> empty_compact)
         ~crash_keys:(Fuzz.Triage.crash_keys tri)
         ~logic_keys:(Fuzz.Triage.logic_keys tri)
     in

@@ -1,9 +1,13 @@
-(** The farm worker process body (DESIGN.md §17).
+(** The farm worker loop (DESIGN.md §16): {!run_round} serves one job
+    of a farm round, whichever transport carries it.
 
-    [legofuzz worker] (hidden) runs {!serve} over its stdin/stdout: the
-    coordinator writes {!Transport.command} lines, the worker answers
-    with {!Transport.message} lines — Hello on startup, Heartbeats
-    between execution sub-slices, one Round report per Run command.
+    Process transport: [legofuzz worker] (hidden) runs {!serve} over its
+    stdin/stdout — the coordinator writes {!Transport.command} lines,
+    the worker answers with {!Transport.message} lines: Hello on
+    startup, Heartbeats between execution sub-slices, one Round report
+    per Run command. In-process transport: a pool of domains calls
+    {!run_round} on one shared [t]; the campaign table is mutex-guarded,
+    and the coordinator never deals one campaign to two jobs of a round.
 
     State: the worker keeps one live fuzzer per campaign it has served.
     Each Run probes the campaign store's newest plain generation's
@@ -23,6 +27,10 @@
 
 type t
 
+val coverage_keys : Fuzz.Driver.fuzzer -> int
+(** The farm's reward signal: edge branches + nonzero grammar-virgin
+    cells of the fuzzer's harness. *)
+
 val create :
   ?runs_dir:string ->
   ?heartbeat_execs:int ->
@@ -40,6 +48,10 @@ val run_round :
     [execs] executions (heartbeating), persist a worker generation,
     report. Never raises: load failures, stalls and engine faults come
     back in [rr_error]. *)
+
+val harness_metrics : t -> Telemetry.Registry.t list
+(** The harness registries of the worker's live fuzzers, in campaign-id
+    order — what the in-process farm folds into its result metrics. *)
 
 val serve :
   ?runs_dir:string -> ?heartbeat_execs:int -> worker:int ->

@@ -150,22 +150,12 @@ let rules_on t table event =
        if r.r_table = table && r.r_event = event then r :: acc else acc)
     t.rules []
 
-(* Copy-on-write snapshots are the production mode: table copies share
-   their persistent row maps, making every snapshot O(#objects). The
-   REPRO_COW bench ablation flips this off to measure the pre-refactor
-   physical-copy cost; outcomes are identical either way. *)
-let cow_enabled = ref true
-
-let set_copy_on_write b = cow_enabled := b
-
-let table_copy tbl =
-  if !cow_enabled then Storage.Table.copy tbl
-  else Storage.Table.deep_copy tbl
-
+(* Snapshots are copy-on-write: table copies share their persistent
+   row maps, making every snapshot O(#objects). *)
 let take_snapshot t =
   { sn_tables =
       Hashtbl.fold
-        (fun name table acc -> (name, table_copy table) :: acc)
+        (fun name table acc -> (name, Storage.Table.copy table) :: acc)
         t.tables [];
     sn_sequences =
       Hashtbl.fold
@@ -206,7 +196,7 @@ let restore_snapshot t snapshot =
   Hashtbl.iter
     (fun name table ->
        match List.assoc_opt name snapshot.sn_tables with
-       | Some saved -> Hashtbl.replace t.tables name (table_copy saved)
+       | Some saved -> Hashtbl.replace t.tables name (Storage.Table.copy saved)
        | None -> ignore (Storage.Table.truncate table))
     (Hashtbl.copy t.tables);
   List.iter
@@ -219,7 +209,7 @@ let restore_snapshot t snapshot =
 
 let copy_snapshot sn =
   { sn_tables =
-      List.map (fun (n, tbl) -> (n, table_copy tbl)) sn.sn_tables;
+      List.map (fun (n, tbl) -> (n, Storage.Table.copy tbl)) sn.sn_tables;
     sn_sequences = sn.sn_sequences }
 
 (* ---- per-session connection state (multi-session server layer) ---- *)
@@ -333,7 +323,7 @@ let copy_bindings copy_v h =
   h'
 
 let deep_copy t =
-  { tables = copy_bindings table_copy t.tables;
+  { tables = copy_bindings Storage.Table.copy t.tables;
     views =
       (* Cached rows are never mutated in place — a REFRESH rebinds the
          copy's own [v_cache] field — so the row lists can be shared. *)
@@ -428,18 +418,6 @@ let approx_words t =
         (fun acc (_, sv) -> acc + session_view_words sv)
         0 t.parked
   in
-  (* In the REPRO_COW ablation's legacy mode copies really do duplicate
-     every row, so account for them — eviction pressure must match the
-     copying regime actually in force. *)
-  let legacy_rows =
-    if !cow_enabled then 0
-    else
-      Hashtbl.fold
-        (fun _ tbl acc ->
-           acc
-           + (Storage.Table.row_count tbl * (Storage.Table.arity tbl + 4)))
-        t.tables 0
-  in
-  512 + record_copies + bucket_copies + snapshots + legacy_rows
+  512 + record_copies + bucket_copies + snapshots
 
 let approx_bytes t = approx_words t * (Sys.word_size / 8)

@@ -167,13 +167,6 @@ val session_view_words : session_view -> int
     counted per parked session by {!approx_bytes} so the prefix cache's
     [cache.bytes] stays honest with N sessions live. *)
 
-val set_copy_on_write : bool -> unit
-(** Global snapshot mode. [true] (the default) makes every table copy
-    O(1) via the persistent storage layer; [false] restores the
-    pre-refactor physical row copies. Outcomes are identical in both
-    modes — only wall clock and heap pressure differ. Exists for the
-    REPRO_COW bench ablation; production code never flips it. *)
-
 val approx_bytes : t -> int
 (** Incremental heap cost of a {!deep_copy}: per-object record copies
     plus hash-table buckets, with all row data shared via the

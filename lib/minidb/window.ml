@@ -9,7 +9,7 @@ open Storage
    per-row algorithm would make is charged to a tally instead, and
    [flush] replays the charges: the same (site, key) multiset in the
    same first-touch order, so the coverage map ends byte-identical
-   (DESIGN.md §18). *)
+   (DESIGN.md §17). *)
 
 (* Pending charges against probe-trace classes (rows whose keys take
    the same path share a class), with the charged classes kept in

@@ -118,9 +118,9 @@ let copy t =
   { t_name = t.t_name; t_temp = t.t_temp; t_cols = t.t_cols;
     t_rows = t.t_rows; next_rowid = t.next_rowid }
 
-(* Pre-refactor physical copy, kept for the REPRO_COW bench ablation
-   (and as the reference implementation in the equivalence tests):
-   rebuilds the row map with fresh arrays so nothing is shared. *)
+(* Pre-refactor physical copy, kept as the reference implementation in
+   the equivalence tests: rebuilds the row map with fresh arrays so
+   nothing is shared. *)
 let deep_copy t =
   { t_name = t.t_name; t_temp = t.t_temp; t_cols = Array.copy t.t_cols;
     t_rows = Imap.map Array.copy t.t_rows; next_rowid = t.next_rowid }

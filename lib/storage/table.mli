@@ -78,8 +78,8 @@ val copy : t -> t
 
 val deep_copy : t -> t
 (** Physical copy sharing nothing with the source — the pre-refactor
-    [copy] semantics. O(rows); only the REPRO_COW bench ablation and
-    the equivalence tests should need it. *)
+    [copy] semantics. O(rows); the reference the copy-equivalence
+    tests check {!copy} against. *)
 
 val rows_root_eq : t -> t -> bool
 (** Whether two tables share the same row-storage root (physical

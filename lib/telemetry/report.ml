@@ -213,9 +213,9 @@ let render_farm buf events =
       | _ -> ())
     events
 
-(* Worker-process utilization (DESIGN.md §17): present only for
-   multi-process farm runs, i.e. when the "farm" registry dump carries
-   farm.worker.<K>.* counters. *)
+(* Worker utilization (DESIGN.md §16): present for farm runs, i.e. when
+   the "farm" registry dump carries farm.worker.<K>.* counters; the
+   in-process transport reports its shared worker as slot 1. *)
 let render_workers buf events =
   List.iter
     (function

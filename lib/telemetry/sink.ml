@@ -34,7 +34,11 @@ let jsonl ?dir ?(append = false) ~name () =
   ( { emit =
         (fun ev ->
            Out_channel.output_string oc (Json.to_string (Event.to_json ev));
-           Out_channel.output_char oc '\n');
+           Out_channel.output_char oc '\n';
+           (* A killed run still leaves every checkpoint it reached. *)
+           match ev with
+           | Event.Checkpoint _ -> Out_channel.flush oc
+           | _ -> ());
       close = (fun () -> Out_channel.close oc) },
     path )
 

@@ -38,7 +38,8 @@ val runs_dir : unit -> string
 val jsonl : ?dir:string -> ?append:bool -> name:string -> unit -> t * string
 (** A JSONL recorder writing [<dir>/<name>.jsonl] (default dir
     {!runs_dir}); returns the sink and the path. The file is truncated,
-    written line-by-line and flushed on close. With [append] (default
+    written line-by-line and flushed after every [Checkpoint] event and
+    on close, so a killed run's file ends at its last checkpoint. With [append] (default
     false) an existing file is extended instead — a resumed campaign's
     checkpoints continue the interrupted run's stream (the resume [Meta]
     event carries the [resumed_from] field marking the boundary). *)

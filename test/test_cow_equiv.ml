@@ -221,34 +221,6 @@ let prop_snapshot_aliasing =
          let ok3 = dump_engine r2 = dump_engine replay in
          ok1 && ok2 && ok3)
 
-(* Law: disabling copy-on-write (the REPRO_COW ablation's deep-copy
-   mode) changes performance only — snapshot/restore observations are
-   identical in both modes. *)
-let prop_cow_ablation_equiv =
-  let arb = Prop.pair ops_arb ops_arb in
-  fun () ->
-    Prop.check ~count:200 ~name:"copy-on-write off ≡ on" arb
-      (fun (prefix, suffix) ->
-         let prefix = List.map stmt_of prefix in
-         let suffix = List.map stmt_of suffix in
-         let observe () =
-           let live = engine () in
-           run_sql live prefix;
-           let snap = E.snapshot live in
-           run_sql live suffix;
-           let restored = E.restore snap ~cov:(Coverage.Bitmap.create ()) () in
-           run_sql restored suffix;
-           dump_engine live ^ "//" ^ dump_engine restored
-         in
-         let with_cow = observe () in
-         let without_cow =
-           Minidb.Catalog.set_copy_on_write false;
-           Fun.protect
-             ~finally:(fun () -> Minidb.Catalog.set_copy_on_write true)
-             observe
-         in
-         with_cow = without_cow)
-
 (* deterministic aliasing corner: snapshot while inside a transaction
    with savepoints — restore must reproduce the txn machinery too *)
 let test_snapshot_inside_txn () =
@@ -286,6 +258,5 @@ let suite =
     ("table copy isolation (1000 cases)", `Quick, prop_table_copy_isolated);
     ("index copy ≡ replay (1000 cases)", `Quick, prop_index_copy_equiv);
     ("engine snapshot aliasing", `Quick, prop_snapshot_aliasing);
-    ("cow ablation equivalence", `Quick, prop_cow_ablation_equiv);
     ("snapshot inside transaction", `Quick, test_snapshot_inside_txn);
     ("copy shares persistent root", `Quick, test_copy_shares_root) ]

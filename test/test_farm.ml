@@ -923,8 +923,16 @@ let real_worker ~runs_dir k =
   [| legofuzz; "worker"; "--worker-id"; string_of_int k; "--runs-dir";
      runs_dir; "--heartbeat-execs"; "50" |]
 
+let spec_of_string text =
+  match Telemetry.Json.of_string text with
+  | Error m -> Alcotest.failf "spec json: %s" m
+  | Ok j ->
+    (match Spec.of_json j with
+     | Error m -> Alcotest.failf "spec: %s" m
+     | Ok spec -> spec)
+
 let process_spec () =
-  let text =
+  spec_of_string
     {|{"campaigns":[
         {"id":"hot","fuzzer":"lego","dialect":"postgresql","feedback":"both",
          "budget":4000,"seed":7},
@@ -932,13 +940,6 @@ let process_spec () =
          "budget":4000,"seed":9}],
        "total_execs":4000,"round_execs":1000,"workers":2,
        "policy":"bandit","ucb_c":0.3}|}
-  in
-  match Telemetry.Json.of_string text with
-  | Error m -> Alcotest.failf "spec json: %s" m
-  | Ok j ->
-    (match Spec.of_json j with
-     | Error m -> Alcotest.failf "spec: %s" m
-     | Ok spec -> spec)
 
 let no_dups l = List.length l = List.length (List.sort_uniq compare l)
 
@@ -1035,26 +1036,61 @@ let test_processes_malformed_worker () =
       Alcotest.(check bool) "malformed line reported" true
         (List.exists (fun w -> contains w "malformed") r.fr_warnings))
 
-(* Equal-budget parity: the process backend must reach what the
-   in-process farm reaches on the same spec — same budget dealt, ≥99%
-   of the coverage keys — and merge without duplicate findings. *)
+let ok_farm what = function
+  | Error m -> Alcotest.failf "%s: %s" what m
+  | Ok r -> r
+
+let in_process ~runs_dir spec =
+  ok_farm "in-process farm" (Scheduler.run ~runs_dir spec)
+
+let with_processes ~workers ~runs_dir spec =
+  ok_farm "process farm"
+    (Scheduler.run_processes ~runs_dir ~worker_cmd:(real_worker ~runs_dir)
+       ~workers spec)
+
+(* Every file under [dir] as (relative path, contents), sorted. *)
+let tree dir =
+  let rec walk rel acc =
+    let path = if rel = "" then dir else Filename.concat dir rel in
+    if Sys.is_directory path then
+      Array.fold_left
+        (fun acc e -> walk (if rel = "" then e else Filename.concat rel e) acc)
+        acc (Sys.readdir path)
+    else (rel, read_file path) :: acc
+  in
+  List.sort compare (walk "" [])
+
+(* Two farms agree exactly: same per-campaign results, same deal, same
+   rounds, and stores identical file for file — generation numbers and
+   manifests included. *)
+let check_same_farm what (ra, dir_a) (rb, dir_b) =
+  Alcotest.(check bool) (what ^ ": equal fr_campaigns") true
+    (ra.Scheduler.fr_campaigns = rb.Scheduler.fr_campaigns);
+  Alcotest.(check int) (what ^ ": equal fr_allocated") ra.fr_allocated
+    rb.fr_allocated;
+  Alcotest.(check int) (what ^ ": equal fr_rounds") ra.fr_rounds rb.fr_rounds;
+  let ta = tree dir_a and tb = tree dir_b in
+  Alcotest.(check (list string)) (what ^ ": same store files")
+    (List.map fst ta) (List.map fst tb);
+  List.iter2
+    (fun (path, a) (_, b) ->
+       Alcotest.(check bool) (what ^ ": identical " ^ path) true (a = b))
+    ta tb
+
+(* Equal-budget parity: one round loop, two transports. In-process and
+   a single worker process are the same computation and must agree
+   exactly; at two workers a reload starts a new epoch by design, so
+   there the process farm must reach ≥99% of the coverage keys — same
+   budget dealt — and merge without duplicate findings. *)
 let test_processes_parity () =
   with_dir "farm-par-a" (fun dir_a ->
     with_dir "farm-par-b" (fun dir_b ->
+    with_dir "farm-par-c" (fun dir_c ->
       let spec = process_spec () in
-      let inproc =
-        match Scheduler.run ~runs_dir:dir_a spec with
-        | Error m -> Alcotest.failf "in-process farm: %s" m
-        | Ok r -> r
-      in
-      let procs =
-        match
-          Scheduler.run_processes ~runs_dir:dir_b
-            ~worker_cmd:(real_worker ~runs_dir:dir_b) ~workers:2 spec
-        with
-        | Error m -> Alcotest.failf "process farm: %s" m
-        | Ok r -> r
-      in
+      let inproc = in_process ~runs_dir:dir_a spec in
+      let one = with_processes ~workers:1 ~runs_dir:dir_c spec in
+      check_same_farm "in-process ≡ --workers 1" (inproc, dir_a) (one, dir_c);
+      let procs = with_processes ~workers:2 ~runs_dir:dir_b spec in
       Alcotest.(check int) "equal budgets dealt" inproc.Scheduler.fr_allocated
         procs.Scheduler.fr_allocated;
       let keys r =
@@ -1073,7 +1109,80 @@ let test_processes_parity () =
         (fun c ->
            check_store_dedup ~runs_dir:dir_b
              c.Scheduler.fc_campaign.Store.sc_id)
-        procs.fr_campaigns))
+        procs.fr_campaigns)))
+
+(* The in-process transport shares one worker across its domain pool,
+   so the pool size changes who runs a job, never what it computes. *)
+let test_pool_size_invariance () =
+  let spec =
+    spec_of_string
+      {|{"campaigns":[
+          {"id":"a","fuzzer":"lego","dialect":"postgresql","feedback":"both",
+           "budget":3000,"seed":2},
+          {"id":"b","fuzzer":"squirrel","dialect":"mysql","budget":3000,
+           "seed":4},
+          {"id":"c","fuzzer":"sqlsmith","dialect":"comdb2","budget":3000,
+           "seed":6}],
+         "total_execs":6000,"round_execs":1500,"workers":1,
+         "policy":"bandit"}|}
+  in
+  with_dir "farm-pool-1" (fun dir_1 ->
+    with_dir "farm-pool-3" (fun dir_3 ->
+      let r1 = in_process ~runs_dir:dir_1 spec in
+      let r3 = in_process ~runs_dir:dir_3 { spec with Spec.fs_workers = 3 } in
+      check_same_farm "fs_workers 1 ≡ 3" (r1, dir_1) (r3, dir_3)))
+
+(* A campaign that finished in an earlier invocation gets no round on
+   the rerun: it reports its stored counts and its store stays as it
+   was — no new generation, same execs_done and epoch. *)
+let check_finished_rerun farm =
+  let spec =
+    spec_of_string
+      {|{"campaigns":[
+          {"id":"done","fuzzer":"lego","dialect":"postgresql",
+           "feedback":"both","budget":600,"seed":3},
+          {"id":"more","fuzzer":"sqlsmith","dialect":"postgresql",
+           "budget":4000,"seed":5}],
+         "total_execs":1600,"round_execs":1000,"workers":2,
+         "policy":"round_robin"}|}
+  in
+  with_dir "farm-rerun" (fun runs_dir ->
+    let find r =
+      List.find
+        (fun c -> c.Scheduler.fc_campaign.Store.sc_id = "done")
+        r.Scheduler.fr_campaigns
+    in
+    let dir = Store.store_dir ~runs_dir "done" in
+    let progress () =
+      match Store.load ~dir with
+      | Error ws -> Alcotest.failf "done store: %s" (String.concat "; " ws)
+      | Ok (sn, _, _) -> sn.Store.sn_progress
+    in
+    let first = find (farm ~runs_dir spec) in
+    Alcotest.(check bool) "finished in the first run" true first.fc_finished;
+    let gens = Store.generations ~dir and before = progress () in
+    let again = find (farm ~runs_dir spec) in
+    Alcotest.(check int) "no round on the rerun" 0 again.fc_rounds;
+    Alcotest.(check int) "stored coverage keys reported"
+      first.fc_coverage_keys again.fc_coverage_keys;
+    Alcotest.(check bool) "keys include grammar cells" true
+      (again.fc_coverage_keys > again.fc_branches);
+    Alcotest.(check int) "stored branches reported" first.fc_branches
+      again.fc_branches;
+    Alcotest.(check int) "execs_done reported" first.fc_execs_done
+      again.fc_execs_done;
+    Alcotest.(check (list int)) "store gained no generation" gens
+      (Store.generations ~dir);
+    let after = progress () in
+    Alcotest.(check int) "execs_done unchanged" before.Store.pr_execs_done
+      after.Store.pr_execs_done;
+    Alcotest.(check int) "epoch unchanged" before.Store.pr_epoch
+      after.Store.pr_epoch)
+
+let test_rerun_finished_in_process () = check_finished_rerun in_process
+
+let test_rerun_finished_processes () =
+  check_finished_rerun (with_processes ~workers:1)
 
 let suite =
   [ Alcotest.test_case "roundtrip: meta" `Quick test_roundtrip_meta;
@@ -1137,4 +1246,10 @@ let suite =
     Alcotest.test_case "processes: malformed worker quarantined" `Slow
       test_processes_malformed_worker;
     Alcotest.test_case "processes: equal-budget parity" `Slow
-      test_processes_parity ]
+      test_processes_parity;
+    Alcotest.test_case "farm: pool size 1 ≡ 3" `Slow
+      test_pool_size_invariance;
+    Alcotest.test_case "farm: rerun of a finished campaign" `Slow
+      test_rerun_finished_in_process;
+    Alcotest.test_case "processes: rerun of a finished campaign" `Slow
+      test_rerun_finished_processes ]

@@ -208,25 +208,17 @@ let steps_arb =
     (Prop.list ~max_len:14
        (Prop.pair (Prop.int_range 0 2) (Prop.int_range 0 11)))
 
-let serial_vs_concurrent cow steps =
-  Minidb.Catalog.set_copy_on_write cow;
-  Fun.protect
-    ~finally:(fun () -> Minidb.Catalog.set_copy_on_write true)
-    (fun () ->
-       let steps = Array.of_list steps in
-       let run f =
-         let cov = Coverage.Bitmap.create () in
-         f (Pool.create ~sessions:3 ~profile ~cov ()) steps
-       in
-       Pool.outcome_equal (run Pool.run_serial) (run Pool.run_concurrent))
+let serial_vs_concurrent steps =
+  let steps = Array.of_list steps in
+  let run f =
+    let cov = Coverage.Bitmap.create () in
+    f (Pool.create ~sessions:3 ~profile ~cov ()) steps
+  in
+  Pool.outcome_equal (run Pool.run_serial) (run Pool.run_concurrent)
 
 let test_serial_eq_concurrent_cow_on () =
   Prop.check ~count:700 ~name:"serial ≡ concurrent (cow on)" steps_arb
-    (serial_vs_concurrent true)
-
-let test_serial_eq_concurrent_cow_off () =
-  Prop.check ~count:300 ~name:"serial ≡ concurrent (cow off)" steps_arb
-    (serial_vs_concurrent false)
+    serial_vs_concurrent
 
 let suite =
   [ Alcotest.test_case "wire responses" `Quick test_wire_responses;
@@ -241,6 +233,4 @@ let suite =
     Alcotest.test_case "approx_bytes counts parked sessions" `Quick
       test_approx_bytes_counts_parked;
     Alcotest.test_case "serial ≡ concurrent, cow on (700 cases)" `Slow
-      test_serial_eq_concurrent_cow_on;
-    Alcotest.test_case "serial ≡ concurrent, cow off (300 cases)" `Slow
-      test_serial_eq_concurrent_cow_off ]
+      test_serial_eq_concurrent_cow_on ]

@@ -122,6 +122,24 @@ let test_event_jsonl_roundtrip () =
     Alcotest.(check (list string)) "events survive the JSONL round-trip"
       lines lines'
 
+let test_jsonl_flushes_checkpoints () =
+  let dir = Filename.temp_dir "jsonl-flush" "" in
+  let sink, path = T.Sink.jsonl ~dir ~name:"run" () in
+  let lines () = In_channel.with_open_text path In_channel.input_all in
+  (* The sample stream's Meta header and first checkpoint. *)
+  List.iter (T.Sink.emit sink) (List.filteri (fun i _ -> i < 2) sample_events);
+  (* Read before close: the checkpoint line must already be on disk. *)
+  let before = String.split_on_char '\n' (String.trim (lines ())) in
+  T.Sink.close sink;
+  Sys.remove path;
+  Sys.rmdir dir;
+  Alcotest.(check int) "meta and checkpoint lines on disk" 2
+    (List.length before);
+  match T.Report.parse_lines before with
+  | Ok [ T.Event.Meta _; T.Event.Checkpoint _ ] -> ()
+  | Ok _ -> Alcotest.fail "unexpected events before close"
+  | Error msg -> Alcotest.fail msg
+
 let test_report_render () =
   let out = T.Report.render sample_events in
   let contains needle =
@@ -334,6 +352,8 @@ let suite =
       test_registry_json_roundtrip;
     Alcotest.test_case "event jsonl roundtrip" `Quick
       test_event_jsonl_roundtrip;
+    Alcotest.test_case "jsonl flushes each checkpoint" `Quick
+      test_jsonl_flushes_checkpoints;
     Alcotest.test_case "report render" `Quick test_report_render;
     Alcotest.test_case "report parse error" `Quick test_report_parse_error;
     Alcotest.test_case "report empty stream" `Quick test_report_empty_stream;
